@@ -10,10 +10,11 @@
 // objects and scenes are sent, the hot set, and the Poisson arrival times.
 //
 // Untraced run (--trace 0): set up the stack several times (setup_s is the
-// median), warm up, then measure the workload's reference segments. Every
-// wire result is compared bit for bit with a direct Factorizer::factorize
-// of the same target; a mismatch fails the request and makes the run exit
-// non-zero. Prints the end-to-end metrics.
+// median), warm up, then measure the workload's reference segments, each
+// drawn just before it runs. Every wire result is compared bit for bit with
+// a direct Factorizer::factorize of the same target, and every response
+// must match exactly one request sent; a mismatch fails the request, and
+// either makes the run exit non-zero. Prints the end-to-end metrics.
 //
 // Traced run (--trace 1): replay the same seeded reference inputs at each
 // entry point of the stack, one layer lower each time, recording a span
@@ -372,6 +373,7 @@ struct PhaseRun {
   Clock::time_point last_due;
   std::uint64_t mismatches = 0;  ///< filled by verify()
   std::uint64_t recovered = 0;   ///< measured results recovering the truth
+  std::uint64_t faults = 0;      ///< ResponseLedger faults, every connection
 
   [[nodiscard]] bool measured(const Outcome& o) const {
     return o.start >= measured_from;
@@ -389,6 +391,7 @@ struct PhaseRun {
       }
     }
     t.mismatches = mismatches;
+    t.faults = faults;
     return t;
   }
   /// Latencies of the results, ascending.
@@ -443,14 +446,30 @@ constexpr std::size_t kWindows = 8;
 /// itself to every open-loop send).
 void tighten_timer_slack() { (void)prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0); }
 
-/// Files one FHN1 response under request `i`.
-void record_response(PhaseRun& run, std::size_t i,
-                     net::NetClient::Response&& resp, Clock::time_point now,
-                     SpanLog& spans, std::uint32_t parent) {
-  if (i >= run.req.size()) {
-    throw std::runtime_error("response for a request never sent");
+/// Inputs of one open-loop phase: targets, their due times, and the
+/// lead-in before measuring starts.
+struct PhaseInputs {
+  TargetSet targets;
+  std::vector<double> due;
+  double lead_in_s = 0.0;
+};
+
+/// A phase whose requests fall due on `in`'s schedule, from 2 ms from now.
+PhaseRun scheduled(const PhaseInputs& in) {
+  PhaseRun run;
+  run.req.resize(in.due.size());
+  run.begin = Clock::now() + 2ms;
+  run.measured_from = run.begin + to_duration(in.lead_in_s);
+  for (std::size_t i = 0; i < in.due.size(); ++i) {
+    run.req[i].start = run.begin + to_duration(in.due[i]);
   }
-  Outcome& o = run.req[i];
+  run.last_due = in.due.empty() ? run.begin : run.req.back().start;
+  return run;
+}
+
+/// Files one FHN1 response in its request's outcome.
+void file_response(Outcome& o, net::NetClient::Response&& resp,
+                   Clock::time_point now) {
   o.done = now;
   using Kind = net::NetClient::Response::Kind;
   if (resp.kind == Kind::kResult) {
@@ -461,7 +480,6 @@ void record_response(PhaseRun& run, std::size_t i,
     o.kind = resp.kind == Kind::kOverload ? Outcome::Kind::kReject
                                           : Outcome::Kind::kError;
   }
-  spans.add("wire.request", o.start, now, parent, i);
 }
 
 /// Connections an open loop spreads its requests over, round robin:
@@ -476,11 +494,9 @@ std::size_t open_loop_connections() {
 /// the server does, on connection i % C; one thread per connection
 /// receives. Latency is timed from the due time, so a generator stall
 /// counts against it.
-PhaseRun wire_open(const Workload& w, std::uint16_t port, const TargetSet& in,
-                   const std::vector<double>& due, double lead_in_s,
-                   SpanLog& spans, std::uint32_t parent) {
-  PhaseRun run;
-  run.req.resize(due.size());
+PhaseRun wire_open(const Workload& w, std::uint16_t port,
+                   const PhaseInputs& in, SpanLog& spans,
+                   std::uint32_t parent) {
   const std::size_t conns = open_loop_connections();
   std::vector<std::unique_ptr<net::NetClient>> clients;
   for (std::size_t c = 0; c < conns; ++c) {
@@ -488,37 +504,43 @@ PhaseRun wire_open(const Workload& w, std::uint16_t port, const TargetSet& in,
     clients.back()->set_recv_timeout(kRecvTimeout);
   }
   const auto opts = request_options(w);
-  run.begin = Clock::now() + 2ms;
-  run.measured_from = run.begin + to_duration(lead_in_s);
-  for (std::size_t i = 0; i < due.size(); ++i) {
-    run.req[i].start = run.begin + to_duration(due[i]);
-  }
-  run.last_due = due.empty() ? run.begin : run.req.back().start;
+  PhaseRun run = scheduled(in);
+  std::vector<std::size_t> faults(conns, 0);
   std::vector<std::thread> receivers;
   for (std::size_t c = 0; c < conns; ++c) {
     receivers.emplace_back([&, c] {
-      // NetClient ids count from 1 per connection.
+      // Connection c carries requests c, c + conns, c + 2 conns, ...; it
+      // reads as many responses as it was sent requests.
       const std::size_t expected = (run.req.size() + conns - 1 - c) / conns;
+      perfbench::ResponseLedger ledger(expected);
       try {
         for (std::size_t got = 0; got < expected; ++got) {
           auto resp = clients[c]->recv_response();
-          const std::size_t i = (resp.request_id - 1) * conns + c;
-          record_response(run, i, std::move(resp), Clock::now(), spans,
-                          parent);
+          const auto k = ledger.match(resp.request_id);
+          if (!k) continue;
+          const std::size_t i = *k * conns + c;
+          file_response(run.req[i], std::move(resp), Clock::now());
+          spans.add("wire.request", run.req[i].start, run.req[i].done,
+                    parent, i);
         }
       } catch (const std::exception& e) {
         log(std::string("wire receive stopped: ") + e.what());
       }
+      faults[c] = ledger.faults();
     });
   }
   tighten_timer_slack();
   for (std::size_t i = 0; i < run.req.size(); ++i) {
     std::this_thread::sleep_until(run.req[i].start);
     run.req[i].send_lag_us = us_between(run.req[i].start, Clock::now());
-    (void)clients[i % conns]->send_factorize(in.target(i), opts,
+    (void)clients[i % conns]->send_factorize(in.targets.target(i), opts,
                                              w.multi_object);
   }
   for (auto& r : receivers) r.join();
+  for (const std::size_t f : faults) run.faults += f;
+  if (run.faults != 0) {
+    log(std::to_string(run.faults) + " response(s) unmatched or missing");
+  }
   return run;
 }
 
@@ -529,17 +551,10 @@ PhaseRun wire_open(const Workload& w, std::uint16_t port, const TargetSet& in,
 constexpr auto kPollPeriod = 20us;
 
 PhaseRun engine_open(const Workload& w, service::FactorizationEngine& engine,
-                     const TargetSet& in, const std::vector<double>& due,
-                     double lead_in_s, SpanLog& spans, std::uint32_t parent) {
-  PhaseRun run;
-  run.req.resize(due.size());
+                     const PhaseInputs& in, SpanLog& spans,
+                     std::uint32_t parent) {
   const auto opts = request_options(w);
-  run.begin = Clock::now() + 2ms;
-  run.measured_from = run.begin + to_duration(lead_in_s);
-  for (std::size_t i = 0; i < due.size(); ++i) {
-    run.req[i].start = run.begin + to_duration(due[i]);
-  }
-  run.last_due = due.empty() ? run.begin : run.req.back().start;
+  PhaseRun run = scheduled(in);
   using Pending = std::pair<std::size_t, std::future<core::FactorizeResult>>;
   std::mutex mu;
   std::vector<Pending> submitted;  // guarded by mu
@@ -550,7 +565,7 @@ PhaseRun engine_open(const Workload& w, service::FactorizationEngine& engine,
       run.req[i].send_lag_us = us_between(run.req[i].start, Clock::now());
       std::future<core::FactorizeResult> f;
       try {
-        f = engine.submit(in.target(i), opts);
+        f = engine.submit(in.targets.target(i), opts);
       } catch (const std::exception&) {
         std::promise<core::FactorizeResult> refused;
         refused.set_exception(std::current_exception());
@@ -643,14 +658,6 @@ void verify(const Workload& w, const service::Model& model,
 // Workload phases shared by both runs
 // ---------------------------------------------------------------------------
 
-/// Inputs of one open-loop phase: targets, their due times, and the
-/// lead-in before measuring starts.
-struct PhaseInputs {
-  TargetSet targets;
-  std::vector<double> due;
-  double lead_in_s = 0.0;
-};
-
 /// Lead-in of every measured phase.
 constexpr double kLeadInS = 0.25;
 
@@ -660,13 +667,6 @@ PhaseInputs open_inputs(Traffic& traffic, double rate, double seconds,
   util::Xoshiro256 rng(traffic.stream_seed(stream) ^ 0xD0E5);
   auto due = perfbench::poisson_schedule(rate, kLeadInS + seconds, rng);
   return {traffic.draw(due.size(), stream), std::move(due), kLeadInS};
-}
-
-PhaseRun run_wire(const Workload& w, const Stack& stack,
-                  const PhaseInputs& in, SpanLog& spans,
-                  std::uint32_t parent) {
-  return wire_open(w, stack.server->port(), in.targets, in.due, in.lead_in_s,
-                   spans, parent);
 }
 
 /// Stream ids: every phase draws its inputs from its own stream.
@@ -679,9 +679,9 @@ enum Stream : std::uint64_t {
 
 /// The reference phase is measured as kSegments separate segments, each
 /// on fresh connections after a lead-in; latency reports the median
-/// segment's p50, which a slow spell of the shared box within one segment
-/// does not move.
-constexpr std::size_t kSegments = 6;
+/// segment's p50, which a slow spell of the shared box within a few
+/// segments does not move.
+constexpr std::size_t kSegments = 9;
 
 /// How a run spends --seconds: a discarded warmup, the reference segments,
 /// and (traced run) the ladder probes: four, plus one retry per failed rung.
@@ -692,11 +692,18 @@ struct Schedule {
 };
 
 Schedule schedule(double seconds) {
-  return {0.05 * seconds, 0.4 * seconds / kSegments, 0.1 * seconds};
+  return {0.05 * seconds, 0.7 * seconds / kSegments, 0.1 * seconds};
 }
 
-/// Warmup and reference inputs, drawn identically in the untraced and the
-/// traced run.
+/// Inputs at the reference rate. Both runs draw the warmup and then
+/// segments 0, 1, ... in that order, so they send identical targets.
+PhaseInputs reference_inputs(const Workload& w, Traffic& traffic,
+                             double seconds, std::uint64_t stream) {
+  return open_inputs(traffic, w.rung_rate(w.reference_rung), seconds, stream);
+}
+
+/// Warmup and reference inputs, all drawn up front: the traced run replays
+/// them at every entry point.
 struct Reference {
   PhaseInputs warmup;
   std::vector<PhaseInputs> segments;
@@ -704,11 +711,10 @@ struct Reference {
 
 Reference draw_reference(const Workload& w, Traffic& traffic,
                          const Schedule& sch) {
-  const double rate = w.rung_rate(w.reference_rung);
-  Reference r{open_inputs(traffic, rate, sch.warmup_s, kWarmupStream), {}};
+  Reference r{reference_inputs(w, traffic, sch.warmup_s, kWarmupStream), {}};
   for (std::size_t k = 0; k < kSegments; ++k) {
-    r.segments.push_back(
-        open_inputs(traffic, rate, sch.segment_s, kSegmentStream + k));
+    r.segments.push_back(reference_inputs(w, traffic, sch.segment_s,
+                                          kSegmentStream + k));
   }
   return r;
 }
@@ -718,7 +724,7 @@ Reference draw_reference(const Workload& w, Traffic& traffic,
 void rewarm(const Workload& w, Stack& stack, const Reference& ref) {
   stack.restart_serving();
   SpanLog off(false);
-  (void)run_wire(w, stack, ref.warmup, off, 0);
+  (void)wire_open(w, stack.server->port(), ref.warmup, off, 0);
 }
 
 /// Verified reference segments pooled: totals over all of them, and each
@@ -833,15 +839,15 @@ int emit(bool correct, const perfbench::Tally& basis,
 /// a pause of the box only ever fails a probe, so one miss is not yet
 /// evidence the rate is too high. \return The rate, 0 when no rung passed.
 double search_ladder(const Workload& w, const Stack& stack, Traffic& traffic,
-                     const Schedule& sch, std::uint64_t& mismatches) {
+                     const Schedule& sch, bool& correct) {
   SpanLog off(false);
   const auto probe_once = [&](std::size_t rung, std::uint64_t stream) {
     const double rate = w.rung_rate(rung);
     const double s = std::max(sch.probe_s, kMinProbeRequests / rate);
     const PhaseInputs in = open_inputs(traffic, rate, s, stream);
-    PhaseRun probe = run_wire(w, stack, in, off, 0);
+    PhaseRun probe = wire_open(w, stack.server->port(), in, off, 0);
     verify(w, *stack.model, in.targets, probe);
-    mismatches += probe.mismatches;
+    correct = correct && probe.tally().correct();
     const auto step = probe.step(rate, kWindows);
     const bool pass = perfbench::meets_slo(step, w.slo_limit_us);
     const auto p99 = perfbench::step_p99(step);
@@ -870,24 +876,29 @@ int run_untraced(const Workload& w, std::uint64_t seed, double seconds,
   Stack stack;
   setup_s.push_back(set_up(w, stack, off, process_start));
   double setup_total = setup_s.back();
-  while (setup_s.size() < 3 || (setup_s.size() < 40 && setup_total < 2.0)) {
+  while (setup_s.size() < 3 || (setup_s.size() < 200 && setup_total < 2.0)) {
     stack.tear_down();
     setup_s.push_back(set_up(w, stack, off, Clock::now()));
     setup_total += setup_s.back();
   }
 
   Traffic traffic(w, *stack.model, seed);
-  const Reference ref = draw_reference(w, traffic, sch);
-  (void)run_wire(w, stack, ref.warmup, off, 0);
+  const double setup_rss = perfbench::peak_rss_mb();
+  const std::uint16_t port = stack.server->port();
+  (void)wire_open(w, port,
+                  reference_inputs(w, traffic, sch.warmup_s, kWarmupStream),
+                  off, 0);
   Pool pool;
-  std::uint64_t mismatches = 0;
   double rss = 0.0;
-  for (const PhaseInputs& seg : ref.segments) {
-    PhaseRun run = run_wire(w, stack, seg, off, 0);
+  for (std::size_t k = 0; k < kSegments; ++k) {
+    // Each segment is drawn just before it runs, so the peak below holds
+    // the stack and one segment's targets, not every segment's.
+    const PhaseInputs seg =
+        reference_inputs(w, traffic, sch.segment_s, kSegmentStream + k);
+    PhaseRun run = wire_open(w, port, seg, off, 0);
     // Peak memory through the first segment: later ones only repeat it.
-    if (pool.segment_p50.empty()) rss = perfbench::peak_rss_mb();
+    if (k == 0) rss = perfbench::peak_rss_mb();
     verify(w, *stack.model, seg.targets, run);
-    mismatches += run.mismatches;
     pool.add(run);
   }
   pool.done();
@@ -898,14 +909,19 @@ int run_untraced(const Workload& w, std::uint64_t seed, double seconds,
   std::cout << "reference: " << t.sent << " sent, " << t.results
             << " results, " << t.rejects << " rejects, " << t.errors
             << " errors, " << t.timeouts << " timeouts, " << t.mismatches
-            << " mismatches; " << pool.latency_us.size()
-            << " latency samples in " << kSegments << " segments, p50 "
-            << number(median(pool.segment_p50)) << " us, p99 "
-            << number(pool.p99()) << " us (both ungated); setup reps "
-            << setup_s.size() << "\n";
+            << " mismatches, " << t.faults << " response faults; "
+            << pool.latency_us.size() << " latency samples in " << kSegments
+            << " segments, p99 " << number(pool.p99())
+            << " us (ungated); segment p50s";
+  for (const double v : pool.segment_p50) std::cout << " " << number(v);
+  std::cout << " us; peak rss " << number(setup_rss)
+            << " MB after set-up, " << number(rss)
+            << " MB through the first segment; setup reps " << setup_s.size()
+            << "\n";
   const std::vector<Metric> metrics = {
       {"setup_s", median(setup_s), "s"},
       {"throughput_rps", pool.throughput_rps(), "1/s"},
+      {"latency_p50_us", median(pool.segment_p50), "us"},
       {"served_frac", 1.0 - t.failed_frac(), "frac"},
       {"accuracy",
        static_cast<double>(pool.recovered) /
@@ -913,7 +929,7 @@ int run_untraced(const Workload& w, std::uint64_t seed, double seconds,
        "frac"},
       {"peak_rss_mb", rss, "MB"},
   };
-  return emit(mismatches == 0 && t.balanced(), t, metrics);
+  return emit(t.correct(), t, metrics);
 }
 
 // ---------------------------------------------------------------------------
@@ -1066,14 +1082,14 @@ int run_traced(const Workload& w, std::uint64_t seed, double seconds,
   (void)set_up(w, stack, spans, process_start);
   Traffic traffic(w, *stack.model, seed);
   const Reference ref = draw_reference(w, traffic, sch);
-  std::uint64_t mismatches = 0;
+  bool correct = true;
   // Every reference segment through one entry point, verified and pooled.
   const auto replay = [&](auto&& entry) {
     Pool pool;
     for (const PhaseInputs& seg : ref.segments) {
       PhaseRun run = entry(seg);
       verify(w, *stack.model, seg.targets, run);
-      mismatches += run.mismatches;
+      correct = correct && run.tally().correct();
       pool.add(run);
     }
     pool.done();
@@ -1082,16 +1098,17 @@ int run_traced(const Workload& w, std::uint64_t seed, double seconds,
 
   // The wire without spans, on a warmed stack: what the untraced run
   // measures.
-  (void)run_wire(w, stack, ref.warmup, off, 0);
-  const Pool plain = replay(
-      [&](const PhaseInputs& seg) { return run_wire(w, stack, seg, off, 0); });
+  (void)wire_open(w, stack.server->port(), ref.warmup, off, 0);
+  const Pool plain = replay([&](const PhaseInputs& seg) {
+    return wire_open(w, stack.server->port(), seg, off, 0);
+  });
 
   // The wire with spans, on a fresh engine and server warmed the same way.
   rewarm(w, stack, ref);
   const service::MetricsSnapshot eng0 = stack.engine->metrics();
   std::uint32_t root = spans.open("phase.wire");
   const Pool wire = replay([&](const PhaseInputs& seg) {
-    return run_wire(w, stack, seg, spans, root);
+    return wire_open(w, stack.server->port(), seg, spans, root);
   });
   spans.close(root);
   const service::MetricsSnapshot eng1 = stack.engine->metrics();
@@ -1101,14 +1118,13 @@ int run_traced(const Workload& w, std::uint64_t seed, double seconds,
   rewarm(w, stack, ref);
   root = spans.open("phase.engine");
   const Pool eng = replay([&](const PhaseInputs& seg) {
-    return engine_open(w, *stack.engine, seg.targets, seg.due, seg.lead_in_s,
-                       spans, root);
+    return engine_open(w, *stack.engine, seg, spans, root);
   });
   spans.close(root);
 
   // The SLO ladder on a fresh engine and server.
   rewarm(w, stack, ref);
-  const double slo_rps = search_ladder(w, stack, traffic, sch, mismatches);
+  const double slo_rps = search_ladder(w, stack, traffic, sch, correct);
   stack.server.reset();
   stack.engine.reset();
 
@@ -1197,7 +1213,7 @@ int run_traced(const Workload& w, std::uint64_t seed, double seconds,
       {"machine.scan_pool_width", static_cast<double>(fp.scan_pool_width),
        "count"},
   };
-  return emit(mismatches == 0 && wt.balanced(), wt, metrics);
+  return emit(correct, wt, metrics);
 }
 
 // ---------------------------------------------------------------------------

@@ -74,9 +74,42 @@ inline std::size_t window_of(double offset, double span, std::size_t windows) {
   return std::min(w, windows - 1);
 }
 
+/// Matches the responses read from one connection to the requests sent on
+/// it. Request ids count from 1, in send order. A response whose id names
+/// no request sent, or a request already answered, is a fault; so is every
+/// request still unanswered when the connection's responses end (lost, or
+/// displaced by a duplicate).
+class ResponseLedger {
+ public:
+  explicit ResponseLedger(std::size_t sent) : answered_(sent, false) {}
+
+  /// \return Index (send order) of the request the response answers, or
+  /// nullopt for a fault.
+  std::optional<std::size_t> match(std::uint64_t request_id) {
+    if (request_id == 0 || request_id > answered_.size() ||
+        answered_[request_id - 1]) {
+      ++bad_responses_;
+      return std::nullopt;
+    }
+    answered_[request_id - 1] = true;
+    ++matched_;
+    return static_cast<std::size_t>(request_id - 1);
+  }
+  /// Unmatched or repeated responses plus unanswered requests.
+  [[nodiscard]] std::size_t faults() const {
+    return bad_responses_ + (answered_.size() - matched_);
+  }
+
+ private:
+  std::vector<bool> answered_;
+  std::size_t matched_ = 0;
+  std::size_t bad_responses_ = 0;
+};
+
 /// Fate of every request sent in one phase. Each sent request ends as
 /// exactly one of result / reject / error / timeout; `mismatches` counts the
-/// results that differ from a direct factorize of the same target.
+/// results that differ from a direct factorize of the same target, and
+/// `faults` the ResponseLedger faults of the phase's connections.
 struct Tally {
   std::uint64_t sent = 0;
   std::uint64_t results = 0;
@@ -84,11 +117,11 @@ struct Tally {
   std::uint64_t errors = 0;   ///< kError answers
   std::uint64_t timeouts = 0;  ///< never answered before the receive timeout
   std::uint64_t mismatches = 0;
+  std::uint64_t faults = 0;
 
-  [[nodiscard]] bool balanced() const {
-    return sent == results + rejects + errors + timeouts &&
-           mismatches <= results;
-  }
+  /// Every result equals direct factorize, and every response matched
+  /// exactly one request sent.
+  [[nodiscard]] bool correct() const { return mismatches == 0 && faults == 0; }
   [[nodiscard]] std::uint64_t failed() const {
     return rejects + errors + timeouts + mismatches;
   }
@@ -104,6 +137,7 @@ struct Tally {
     errors += o.errors;
     timeouts += o.timeouts;
     mismatches += o.mismatches;
+    faults += o.faults;
     return *this;
   }
 };

@@ -1,7 +1,7 @@
 // Self-tests of the benchmark's own helpers (perfbench/src/stats.hpp): the
 // quantile and tail-sample rule, windowed quantiles, request accounting,
-// the Poisson schedule, and the SLO ladder rule. Exits non-zero when any
-// check fails.
+// response matching, the Poisson schedule, and the SLO ladder rule. Exits
+// non-zero when any check fails.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -95,19 +95,44 @@ void accounting() {
   t.rejects = 6;
   t.errors = 1;
   t.timeouts = 3;
-  check(t.balanced(), "sent = results + rejects + errors + timeouts");
   check(t.failed() == 10 && near(t.failed_frac(), 0.10),
         "rejects, errors and timeouts all fail");
+  check(t.correct(), "failed requests alone leave the run correct");
   t.mismatches = 2;
   check(t.failed() == 12, "a result differing from direct factorize fails");
-  check(t.balanced(), "mismatches are a subset of results");
-  t.timeouts = 2;
-  check(!t.balanced(), "an unaccounted request unbalances the tally");
+  check(!t.correct(), "a mismatch makes the run incorrect");
   perfbench::Tally sum;
   sum += t;
   sum += t;
   check(sum.sent == 200 && sum.mismatches == 4, "tallies add field-wise");
   check(perfbench::Tally{}.failed_frac() == 0.0, "empty tally fails nothing");
+  t.mismatches = 0;
+  t.faults = 1;
+  check(!t.correct(), "a response fault makes the run incorrect");
+}
+
+void ledger() {
+  using perfbench::ResponseLedger;
+  ResponseLedger exact(3);
+  const auto a = exact.match(2);
+  const auto b = exact.match(1);
+  const auto c = exact.match(3);
+  check(a == 1u && b == 0u && c == 2u && exact.faults() == 0,
+        "each id answers its own request, in any order");
+  ResponseLedger dup(3);
+  (void)dup.match(1);
+  check(!dup.match(1) && dup.match(3) == 2u, "a repeated id matches nothing");
+  check(dup.faults() == 2,
+        "a duplicate faults, and so does the request it displaced");
+  ResponseLedger stray(2);
+  check(!stray.match(0) && !stray.match(3), "ids outside 1..sent match nothing");
+  (void)stray.match(1);
+  (void)stray.match(2);
+  check(stray.faults() == 2,
+        "unmatched responses fault though every request was answered");
+  ResponseLedger lost(4);
+  (void)lost.match(1);
+  check(lost.faults() == 3, "requests never answered fault");
 }
 
 void schedule() {
@@ -183,6 +208,7 @@ int main() {
   tail_rule();
   windows();
   accounting();
+  ledger();
   schedule();
   slo_rule();
   if (failures != 0) {
