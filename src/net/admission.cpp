@@ -34,7 +34,7 @@ void AdmissionQueue::sift_down(std::size_t i) {
 Admit AdmissionQueue::try_admit(Ticket&& ticket) {
   std::lock_guard lock(mu_);
   if (stopped_) return Admit::kShuttingDown;
-  const auto it = in_flight_.find(ticket.client_id);
+  const auto it = in_flight_.find(ticket.reply.client_id);
   if (it != in_flight_.end() && it->second >= config_.client_quota) {
     ++stats_.rejected_quota;
     return Admit::kQuotaExceeded;
@@ -43,7 +43,7 @@ Admit AdmissionQueue::try_admit(Ticket&& ticket) {
     ++stats_.rejected_full;
     return Admit::kQueueFull;
   }
-  ++in_flight_[ticket.client_id];
+  ++in_flight_[ticket.reply.client_id];
   ++stats_.admitted;
   heap_.push_back(
       Entry{ticket.deadline_us, next_seq_++, std::move(ticket)});

@@ -32,15 +32,20 @@
 
 namespace factorhd::net {
 
-/// One admitted unit of work: the decoded request plus the connection
-/// bookkeeping the server needs to route the response back.
-struct Ticket {
+/// Where a ticket's response goes: the connection bookkeeping the server
+/// needs to route it back, small enough to copy into an engine callback.
+struct ReplyTo {
   std::uint64_t client_id = 0;   ///< server-assigned connection identity
   std::uint64_t request_id = 0;  ///< wire request id (echoed on responses)
   bool stream = false;           ///< client asked for kPartial streaming
-  FactorizeRequest request;
   /// Arrival time (frame fully parsed) — start of the admission stage.
   std::chrono::steady_clock::time_point arrival{};
+};
+
+/// One admitted unit of work: the decoded request plus where to answer it.
+struct Ticket {
+  ReplyTo reply;
+  FactorizeRequest request;
   /// Absolute dispatch deadline in microseconds on the steady clock:
   /// arrival + client hint (or the server default). The heap key.
   std::uint64_t deadline_us = 0;

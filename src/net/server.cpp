@@ -214,11 +214,6 @@ void NetServer::start() {
   stopped_ = false;
   loop_thread_ = std::thread([this] { event_loop(); });
   dispatcher_thread_ = std::thread([this] { dispatcher_loop(); });
-  const std::size_t workers = std::max<std::size_t>(1, opts_.completion_workers);
-  completion_threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    completion_threads_.emplace_back([this] { completion_loop(); });
-  }
 }
 
 void NetServer::stop() {
@@ -231,19 +226,16 @@ void NetServer::stop() {
   admission_.stop();
 
   // 2. The dispatcher exits once the admission queue is drained; every
-  //    admitted ticket is now in the completion queue (or its error frame
-  //    is in the outbox).
+  //    admitted ticket is now with the engine (or its reject frame is in
+  //    the outbox).
   dispatcher_thread_.join();
 
-  // 3. Close the completion queue and wait for the in-flight futures; all
+  // 3. Wait for the engine to complete every dispatched ticket; all
   //    response bytes are in the outbox afterwards.
   {
-    std::lock_guard lock(completion_mu_);
-    completion_closed_ = true;
+    std::unique_lock lock(dispatched_mu_);
+    dispatched_cv_.wait(lock, [this] { return dispatched_ == 0; });
   }
-  completion_cv_.notify_all();
-  for (std::thread& t : completion_threads_) t.join();
-  completion_threads_.clear();
 
   // 4. Let the loop flush: it exits once the outbox and every write buffer
   //    are empty (bounded by a drain deadline so a stuck client cannot
@@ -264,14 +256,6 @@ void NetServer::wake_loop() {
   if (wake_write_fd_ < 0) return;
   const char byte = 1;
   [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
-}
-
-void NetServer::push_outgoing(Outgoing&& out) {
-  {
-    std::lock_guard lock(outbox_mu_);
-    outbox_.push_back(std::move(out));
-  }
-  wake_loop();
 }
 
 // ---------------------------------------------------------------------------
@@ -474,10 +458,7 @@ void NetServer::handle_frame(Connection& conn, Frame&& frame,
   }
 
   Ticket ticket;
-  ticket.client_id = conn.id;
-  ticket.request_id = rid;
-  ticket.stream = (frame.header.flags & kFlagStream) != 0;
-  ticket.arrival = now;
+  ticket.reply = {conn.id, rid, (frame.header.flags & kFlagStream) != 0, now};
   const std::uint32_t hint = request.deadline_hint_us != 0
                                  ? request.deadline_hint_us
                                  : opts_.default_deadline_us;
@@ -580,14 +561,12 @@ void NetServer::drain_outbox() {
     } else {
       append_response(it->second, out.bytes);
     }
-    if (out.release_ticket) {
-      // In-flight ends here whether the bytes were buffered or dropped —
-      // the exactly-once release point of the admission quota.
-      admission_.on_complete(out.client_id);
-      net_metrics_.on_stage(service::Stage::kNetWrite,
-                            us_between(out.ready, now));
-      net_metrics_.on_completed(us_between(out.arrival, now));
-    }
+    // In-flight ends here whether the bytes were buffered or dropped — the
+    // exactly-once release point of the admission quota.
+    admission_.on_complete(out.client_id);
+    net_metrics_.on_stage(service::Stage::kNetWrite,
+                          us_between(out.ready, now));
+    net_metrics_.on_completed(us_between(out.arrival, now));
   }
 }
 
@@ -617,112 +596,84 @@ void NetServer::close_connection(std::uint64_t id, std::uint64_t* counter) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher + completion workers
+// Dispatcher + the completion path
 // ---------------------------------------------------------------------------
 
 void NetServer::dispatcher_loop() {
   Ticket ticket;
   while (admission_.pop(ticket)) {
-    const auto popped = std::chrono::steady_clock::now();
-    net_metrics_.on_stage(service::Stage::kAdmission,
-                          us_between(ticket.arrival, popped));
-    std::future<core::FactorizeResult> future;
+    const ReplyTo to = ticket.reply;
+    net_metrics_.on_stage(
+        service::Stage::kAdmission,
+        us_between(to.arrival, std::chrono::steady_clock::now()));
+    {
+      std::lock_guard lock(dispatched_mu_);
+      ++dispatched_;
+    }
     try {
-      future = engine_.submit(std::move(ticket.request.target),
-                              ticket.request.opts);
+      engine_.submit(std::move(ticket.request.target), ticket.request.opts,
+                     [this, to](std::exception_ptr error,
+                                const core::FactorizeResult& result) {
+                       complete(to, std::move(error), result);
+                     });
+    } catch (...) {
+      // Refused before it was accepted: the engine will not call back.
+      complete(to, std::current_exception(), core::FactorizeResult{});
+    }
+  }
+}
+
+void NetServer::complete(const ReplyTo& to, std::exception_ptr error,
+                         const core::FactorizeResult& result) {
+  Outgoing out;
+  out.client_id = to.client_id;
+  out.ready = std::chrono::steady_clock::now();
+  out.arrival = to.arrival;
+  const std::uint64_t rid = to.request_id;
+  if (error) {
+    try {
+      std::rethrow_exception(error);
     } catch (const service::QueueFullError&) {
       OverloadInfo info;
       info.code = OverloadCode::kQueueFull;
       info.limit = static_cast<std::uint32_t>(opts_.admission.depth);
       info.detail = "engine queue full";
-      Outgoing out;
-      out.client_id = ticket.client_id;
-      out.bytes = encode_frame(Opcode::kOverload, 0, ticket.request_id,
-                               encode_overload(info));
-      out.release_ticket = true;
-      out.ready = std::chrono::steady_clock::now();
-      out.arrival = ticket.arrival;
-      push_outgoing(std::move(out));
-      continue;
+      out.bytes =
+          encode_frame(Opcode::kOverload, 0, rid, encode_overload(info));
     } catch (const service::EngineStoppedError& e) {
-      Outgoing out;
-      out.client_id = ticket.client_id;
       out.bytes = encode_frame(
-          Opcode::kError, 0, ticket.request_id,
+          Opcode::kError, 0, rid,
           encode_error(ErrorCode::kShuttingDown, e.what()));
-      out.release_ticket = true;
-      out.ready = std::chrono::steady_clock::now();
-      out.arrival = ticket.arrival;
-      push_outgoing(std::move(out));
-      continue;
     } catch (const std::exception& e) {
-      Outgoing out;
-      out.client_id = ticket.client_id;
-      out.bytes = encode_frame(Opcode::kError, 0, ticket.request_id,
-                               encode_error(ErrorCode::kInternal, e.what()));
-      out.release_ticket = true;
-      out.ready = std::chrono::steady_clock::now();
-      out.arrival = ticket.arrival;
-      push_outgoing(std::move(out));
-      continue;
-    }
-    InFlight flight;
-    flight.ticket = std::move(ticket);
-    flight.ticket.request.target = hdc::Hypervector();  // moved into submit
-    flight.future = std::move(future);
-    {
-      std::lock_guard lock(completion_mu_);
-      completion_queue_.push_back(std::move(flight));
-    }
-    completion_cv_.notify_one();
-  }
-}
-
-void NetServer::completion_loop() {
-  while (true) {
-    InFlight flight;
-    {
-      std::unique_lock lock(completion_mu_);
-      completion_cv_.wait(lock, [&] {
-        return completion_closed_ || !completion_queue_.empty();
-      });
-      if (completion_queue_.empty()) return;  // closed and drained
-      flight = std::move(completion_queue_.front());
-      completion_queue_.pop_front();
-    }
-    Outgoing out;
-    out.client_id = flight.ticket.client_id;
-    out.release_ticket = true;
-    out.arrival = flight.ticket.arrival;
-    const std::uint64_t rid = flight.ticket.request_id;
-    try {
-      const core::FactorizeResult result = flight.future.get();
-      out.ready = std::chrono::steady_clock::now();
-      if (flight.ticket.stream) {
-        // One kPartial per object, then the final kResult (kFlagStreamed)
-        // carrying the scalars + object count — all in one buffer so the
-        // frames reach the write buffer atomically and in order.
-        for (std::size_t i = 0; i < result.objects.size(); ++i) {
-          const auto partial = encode_frame(
-              Opcode::kPartial, 0, rid,
-              encode_partial(static_cast<std::uint32_t>(i),
-                             result.objects[i]));
-          out.bytes.insert(out.bytes.end(), partial.begin(), partial.end());
-        }
-        const auto fin = encode_frame(Opcode::kResult, kFlagStreamed, rid,
-                                      encode_result(result, true));
-        out.bytes.insert(out.bytes.end(), fin.begin(), fin.end());
-      } else {
-        out.bytes =
-            encode_frame(Opcode::kResult, 0, rid, encode_result(result, false));
-      }
-    } catch (const std::exception& e) {
-      out.ready = std::chrono::steady_clock::now();
       out.bytes = encode_frame(Opcode::kError, 0, rid,
                                encode_error(ErrorCode::kInternal, e.what()));
     }
-    push_outgoing(std::move(out));
+  } else if (to.stream) {
+    // One kPartial per object, then the final kResult (kFlagStreamed)
+    // carrying the scalars + object count — all in one buffer so the frames
+    // reach the write buffer atomically and in order.
+    for (std::size_t i = 0; i < result.objects.size(); ++i) {
+      const auto partial = encode_frame(
+          Opcode::kPartial, 0, rid,
+          encode_partial(static_cast<std::uint32_t>(i), result.objects[i]));
+      out.bytes.insert(out.bytes.end(), partial.begin(), partial.end());
+    }
+    const auto fin = encode_frame(Opcode::kResult, kFlagStreamed, rid,
+                                  encode_result(result, true));
+    out.bytes.insert(out.bytes.end(), fin.begin(), fin.end());
+  } else {
+    out.bytes =
+        encode_frame(Opcode::kResult, 0, rid, encode_result(result, false));
   }
+  {
+    std::lock_guard lock(outbox_mu_);
+    outbox_.push_back(std::move(out));
+  }
+  wake_loop();
+  // Last: once the count reaches zero stop() may return and destroy the
+  // server, so nothing below this lock may touch `this`.
+  std::lock_guard lock(dispatched_mu_);
+  if (--dispatched_ == 0) dispatched_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------------

@@ -11,18 +11,22 @@
 //              quotas; rejects => overload frames)  │
 //                       │ pop (dispatcher thread)   │
 //                       ▼                           │
-//              engine.submit() ──► future ──► completion workers:
-//              future.get(), serialize kPartial*/kResult frames,
-//              push to the outbox, wake the loop
+//              engine.submit(target, opts, callback)│
+//                       │                           │
+//                       ▼                           │
+//              callback (cache hit: inline on the dispatcher; computed:
+//              on the engine's batcher): serialize kPartial*/kResult
+//              frames, push to the outbox, wake the loop
 //
 // Concurrency shape: exactly one event-loop thread owns every socket and
 // all connection state — no locks on the read/write paths. Work crosses
 // threads only through the AdmissionQueue (loop → dispatcher) and the
-// outbox (completion workers → loop, woken via a self-pipe). Per-client
-// in-flight quotas are charged at admission and released on the loop
-// thread when the response bytes reach the client's write buffer (or are
-// dropped because the client vanished), so every admitted ticket releases
-// exactly once.
+// outbox (engine completion callbacks → loop, woken via a self-pipe). No
+// thread ever blocks waiting for a result, so a fast request (a cache hit)
+// is never queued behind a slow one. Per-client in-flight quotas are
+// charged at admission and released on the loop thread when the response
+// bytes reach the client's write buffer (or are dropped because the client
+// vanished), so every admitted ticket releases exactly once.
 //
 // Robustness: bounded read buffers (FrameParser's max_payload), bounded
 // write buffers (slow readers are disconnected at the limit), and an idle
@@ -39,8 +43,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -99,8 +102,6 @@ struct ServerOptions {
   std::size_t write_buffer_limit = 8u << 20;
   /// Admission deadline applied when a request carries no hint (us).
   std::uint32_t default_deadline_us = 1'000'000;
-  /// Threads blocking on engine futures and serializing responses.
-  std::size_t completion_workers = 2;
   /// False selects poll(2) even where epoll is available.
   /// Env: FACTORHD_NET_POLLER (epoll | poll).
   bool prefer_epoll = true;
@@ -133,8 +134,8 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds, listens, and starts the event-loop / dispatcher / completion
-  /// threads. \throws std::runtime_error On socket/bind/listen failure.
+  /// Binds, listens, and starts the event-loop and dispatcher threads.
+  /// \throws std::runtime_error On socket/bind/listen failure.
   void start();
 
   /// Graceful drain: stop accepting, reject new factorize frames with
@@ -175,28 +176,19 @@ class NetServer {
     explicit Connection(std::size_t max_frame) : parser(max_frame) {}
   };
 
-  /// Response bytes crossing from a completion worker (or the dispatcher's
-  /// error path) back to the loop thread.
+  /// Response bytes crossing from an engine completion back to the loop
+  /// thread. Appending (or dropping) one releases its admission slot.
   struct Outgoing {
     std::uint64_t client_id = 0;
     std::vector<std::uint8_t> bytes;
-    /// When set, appending (or dropping) this releases one admission slot.
-    bool release_ticket = false;
-    /// Future-ready time — start of the kNetWrite stage.
+    /// Engine-completion time — start of the kNetWrite stage.
     std::chrono::steady_clock::time_point ready{};
     /// Ticket arrival time — end-to-end completion is measured from here.
     std::chrono::steady_clock::time_point arrival{};
   };
 
-  /// One admitted request travelling dispatcher → completion worker.
-  struct InFlight {
-    Ticket ticket;
-    std::future<core::FactorizeResult> future;
-  };
-
   void event_loop();
   void dispatcher_loop();
-  void completion_loop();
 
   void accept_ready();
   void handle_readable(Connection& conn);
@@ -209,7 +201,11 @@ class NetServer {
   void close_connection(std::uint64_t id, std::uint64_t* counter);
   void update_poll_interest(Connection& conn);
   void wake_loop();
-  void push_outgoing(Outgoing&& out);
+  /// The one completion path of a dispatched ticket — engine result, failed
+  /// flight, or a submit the engine refused: encodes the response, hands
+  /// it to the loop, and ends the dispatch (see stop()).
+  void complete(const ReplyTo& to, std::exception_ptr error,
+                const core::FactorizeResult& result);
 
   service::FactorizationEngine& engine_;
   ServerOptions opts_;
@@ -230,10 +226,11 @@ class NetServer {
   // Cross-thread state.
   mutable std::mutex outbox_mu_;
   std::vector<Outgoing> outbox_;
-  std::mutex completion_mu_;
-  std::condition_variable completion_cv_;
-  std::deque<InFlight> completion_queue_;
-  bool completion_closed_ = false;
+  /// Tickets handed to the engine whose completion has not run yet; stop()
+  /// waits for zero before letting the loop flush and exit.
+  std::mutex dispatched_mu_;
+  std::condition_variable dispatched_cv_;
+  std::size_t dispatched_ = 0;
 
   mutable std::mutex counters_mu_;
   ServerCounters counters_;
@@ -245,7 +242,6 @@ class NetServer {
 
   std::thread loop_thread_;
   std::thread dispatcher_thread_;
-  std::vector<std::thread> completion_threads_;
 };
 
 }  // namespace factorhd::net

@@ -25,6 +25,12 @@ double us_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
 
+/// The one place a Completion runs; noexcept enforces its no-throw contract.
+void complete(const Completion& done, std::exception_ptr error,
+              const core::FactorizeResult& result) noexcept {
+  done(std::move(error), result);
+}
+
 }  // namespace
 
 FactorizationEngine::FactorizationEngine(std::shared_ptr<const Model> model,
@@ -64,6 +70,24 @@ FactorizationEngine::~FactorizationEngine() { stop(); }
 
 std::future<core::FactorizeResult> FactorizationEngine::submit(
     hdc::Hypervector target, core::FactorizeOptions opts) {
+  // std::function needs a copyable callable, so the promise is shared.
+  auto promise = std::make_shared<std::promise<core::FactorizeResult>>();
+  auto fut = promise->get_future();
+  submit(std::move(target), std::move(opts),
+         [promise](std::exception_ptr error,
+                   const core::FactorizeResult& result) {
+           if (error) {
+             promise->set_exception(std::move(error));
+           } else {
+             promise->set_value(result);
+           }
+         });
+  return fut;
+}
+
+void FactorizationEngine::submit(hdc::Hypervector target,
+                                 core::FactorizeOptions opts,
+                                 Completion done) {
   if (target.dim() != model_->books().dim()) {
     throw std::invalid_argument(
         "FactorizationEngine::submit: target dimension " +
@@ -98,9 +122,7 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
     metrics_.on_submitted();
     metrics_.on_cache_hit();
     metrics_.on_stage(Stage::kCacheLookup, us_between(start, cache_done));
-    std::promise<core::FactorizeResult> ready;
-    auto fut = ready.get_future();
-    ready.set_value(*std::move(hit));
+    complete(done, nullptr, *hit);
     metrics_.on_completed(us_since(start));
     if (traced) {
       RequestTrace t;
@@ -117,7 +139,7 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
       t.rounds = hit->rounds;
       trace_ring_.record(t);
     }
-    return fut;
+    return;
   }
   const auto cache_done = std::chrono::steady_clock::now();
 
@@ -125,11 +147,11 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
   req.target = std::move(target);
   req.opts = std::move(opts);
   req.key = key;
+  req.done = std::move(done);
   req.submitted = start;
   req.cache_done = cache_done;
   req.trace_id = trace_id;
   req.traced = traced;
-  auto fut = req.promise.get_future();
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
@@ -161,7 +183,6 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
     metrics_.on_stage(Stage::kCacheLookup, us_between(start, cache_done));
   }
   queue_ready_.notify_one();
-  return fut;
 }
 
 std::vector<FactorizationEngine::Request> FactorizationEngine::next_flight() {
@@ -226,7 +247,7 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
 
     // Coalesce duplicate targets within the group: factorize each distinct
     // target once and fan the (identical, deterministic) result out to
-    // every duplicate's promise. rep[j] indexes into `targets`.
+    // every duplicate's completion. rep[j] indexes into `targets`.
     //
     // The dedup key is global — the full (target, opts) identity: groups
     // are formed by exact options equality above, and within a group two
@@ -264,9 +285,10 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
       results = batcher_.factorize_all(targets, gopts);
     } catch (...) {
       const auto err = std::current_exception();
+      const core::FactorizeResult none;
       for (const std::size_t j : group) {
-        flight[j].promise.set_exception(err);
-        // Exceptionally fulfilled is still completed: the drained-engine
+        complete(flight[j].done, err, none);
+        // Exceptionally completed is still completed: the drained-engine
         // invariant completed == submitted must survive a failed flight.
         metrics.on_completed(us_since(flight[j].submitted));
       }
@@ -281,7 +303,7 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
     for (std::size_t j = 0; j < group.size(); ++j) {
       Request& r = flight[group[j]];
       const core::FactorizeResult& result = results[rep[j]];
-      r.promise.set_value(result);
+      complete(r.done, nullptr, result);
       const auto done = std::chrono::steady_clock::now();
       metrics.on_stage(Stage::kQueueWait, us_between(r.enqueued, r.dequeued));
       metrics.on_stage(Stage::kBatchAssembly,

@@ -1,11 +1,11 @@
 // FactorizationEngine: the asynchronous serving runtime over a Model.
 //
-//   submit(target, opts) ──► ResultCache probe ──hit──► ready future
-//        │ miss                                           ▲
-//        ▼                                                │ replay
-//   bounded MPMC queue  (backpressure: block or reject)   │
-//        │                                                │
-//        ▼                                                │
+//   submit(target, opts, done) ──► ResultCache probe ──hit──► done(result)
+//        │ miss                                               on the caller
+//        ▼
+//   bounded MPMC queue  (backpressure: block or reject)
+//        │
+//        ▼
 //   micro-batcher thread: flush on max_batch or max_delay_us
 //        │  group by identical FactorizeOptions,
 //        │  coalesce duplicate targets within the flight
@@ -13,9 +13,15 @@
 //   core::BatchFactorizer::factorize_all  (worker pool over the shared
 //        │                                 packed-SIMD scan planes)
 //        ▼
-//   fulfill promises + insert into ResultCache + record Metrics
+//   done(result) or done(error) + insert into ResultCache + record Metrics
 //
-// Correctness contract: every future receives a FactorizeResult that is
+// One completion path: every accepted request ends in exactly one call of
+// its Completion — a cache hit inline on the submitting thread; a computed,
+// coalesced or failed request on the batcher thread that ran its flight.
+// The future-returning submit() is a thin wrapper that fulfills a promise
+// from that callback.
+//
+// Correctness contract: every completion receives a FactorizeResult that is
 // *bit-identical* to a direct Factorizer::factorize(target, opts) call —
 // regardless of how requests were batched, how many worker threads ran,
 // whether the result was coalesced with a duplicate in the same flight, or
@@ -27,13 +33,15 @@
 //
 // Shutdown: stop() (and the destructor) stops accepting new work, drains
 // every queued request through the normal batch path, then joins the
-// batcher thread — no future is ever abandoned.
+// batcher thread — no completion is ever abandoned.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -109,11 +117,20 @@ class EngineStoppedError : public std::runtime_error {
                            detail) {}
 };
 
+/// Called exactly once per accepted request. On success `error` is null and
+/// `result` is the answer; when the request's flight failed, `error` holds
+/// the exception and `result` is empty. It runs on the submitting thread
+/// for a cache hit and on a batcher thread otherwise, with no engine lock
+/// held. It must not throw (a throw terminates the process) and should not
+/// block: a batcher thread completes its whole flight before taking more.
+using Completion = std::function<void(std::exception_ptr error,
+                                      const core::FactorizeResult& result)>;
+
 /// Asynchronous factorization server over one immutable Model.
 ///
 /// \par Contract (bit-identical serving)
-/// Every future returned by submit() carries a core::FactorizeResult that
-/// is bit-identical (doubles included) to a direct
+/// Every completion (and every future returned by submit()) carries a
+/// core::FactorizeResult that is bit-identical (doubles included) to a direct
 /// `Factorizer::factorize(target, opts)` call on the same Model —
 /// regardless of batch composition, dispatcher/worker thread counts,
 /// duplicate coalescing, or cache state. The guarantee composes from
@@ -145,19 +162,27 @@ class FactorizationEngine {
   /// \param target Encoded target HV of the model's dimension.
   /// \param opts Per-request factorization options; requests batch together
   ///   only with identical options.
-  /// \return Future for the result (may already be ready on a cache hit).
+  /// \param done Called exactly once with the outcome (see Completion); on
+  ///   a cache hit before submit() returns. Never called when submit()
+  ///   throws.
   /// \throws std::invalid_argument On a dimension mismatch.
   /// \throws EngineStoppedError After stop() has begun — including when
   ///   stop() lands while the caller is blocked on backpressure (the
   ///   request was never enqueued and will never complete).
   /// \throws QueueFullError When the queue is full and reject_when_full.
+  void submit(hdc::Hypervector target, core::FactorizeOptions opts,
+              Completion done);
+
+  /// submit() with a future instead of a callback: the promise is fulfilled
+  /// from the Completion. Same throws.
+  /// \return Future for the result (already ready on a cache hit).
   [[nodiscard]] std::future<core::FactorizeResult> submit(
       hdc::Hypervector target, core::FactorizeOptions opts = {});
 
   /// Stops accepting new submissions, drains every queued request through
   /// the batch path, and joins the batcher thread. Idempotent; called by
-  /// the destructor. After stop(), every future obtained from submit() is
-  /// ready.
+  /// the destructor. After stop(), every accepted request's Completion has
+  /// run (so every future obtained from submit() is ready).
   void stop();
 
   /// \return Counter snapshot, safe to call at any time while serving.
@@ -168,7 +193,7 @@ class FactorizationEngine {
   /// One dispatcher's view for the `stats` per-dispatcher breakdown.
   struct DispatcherStats {
     MetricsSnapshot metrics;   ///< this dispatcher's compute-side counters
-    std::size_t inflight = 0;  ///< requests popped but not yet fulfilled
+    std::size_t inflight = 0;  ///< requests popped but not yet completed
   };
   /// \return Per-dispatcher compute-side snapshots (batches dispatched, max
   ///   batch high-water, in-flight depth), index-aligned with the pool.
@@ -207,7 +232,7 @@ class FactorizationEngine {
     hdc::Hypervector target;
     core::FactorizeOptions opts;
     std::uint64_t key = 0;  ///< request_key(target, opts)
-    std::promise<core::FactorizeResult> promise;
+    Completion done;
     std::chrono::steady_clock::time_point submitted;
     std::chrono::steady_clock::time_point cache_done;  ///< cache probe done
     std::chrono::steady_clock::time_point enqueued;
@@ -218,7 +243,7 @@ class FactorizationEngine {
 
   /// One dispatcher's mutable state (unique_ptr-held: address-stable
   /// atomics). Compute-side metrics are uncontended on the dispatch path;
-  /// inflight is the popped-but-not-fulfilled gauge for `stats`.
+  /// inflight is the popped-but-not-completed gauge for `stats`.
   struct DispatcherState {
     Metrics metrics;
     std::atomic<std::size_t> inflight{0};
@@ -229,7 +254,7 @@ class FactorizationEngine {
   /// Returns an empty vector when stopping and the queue is drained.
   [[nodiscard]] std::vector<Request> next_flight();
   /// Factorizes one flight: groups by options, coalesces duplicates,
-  /// dispatches BatchFactorizer, fulfills promises, feeds cache + the
+  /// dispatches BatchFactorizer, runs completions, feeds cache + the
   /// calling dispatcher's metrics set + per-stage latencies + traces.
   void run_flight(std::vector<Request> flight, DispatcherState& state,
                   std::uint32_t index);

@@ -276,7 +276,7 @@ std::string MetricsSnapshot::to_prometheus() const {
   counter("factorhd_requests_rejected_total",
           "Submits refused by queue backpressure.", rejected);
   counter("factorhd_requests_completed_total",
-          "Futures fulfilled (including cache hits).", completed);
+          "Requests completed (including cache hits).", completed);
   counter("factorhd_cache_hits_total", "Requests served from the result cache.",
           cache_hits);
   counter("factorhd_cache_misses_total", "Requests enqueued for computation.",

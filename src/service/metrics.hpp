@@ -38,10 +38,10 @@ enum class Stage : std::size_t {
   kQueueWait,        ///< enqueue → popped by a dispatcher
   kBatchAssembly,    ///< popped → batch handed to BatchFactorizer
   kScan,             ///< BatchFactorizer::factorize_all wall time
-  kMerge,            ///< results back → promise fulfilled (+ cache insert)
+  kMerge,            ///< results back → completion run (+ cache insert)
   kNetRead,          ///< socket bytes → frame parsed + request decoded
   kAdmission,        ///< frame decoded → admitted + handed to the engine
-  kNetWrite,         ///< engine future ready → response bytes buffered
+  kNetWrite,         ///< engine completion → response bytes buffered
 };
 inline constexpr std::size_t kNumStages = 8;
 
@@ -54,7 +54,7 @@ inline constexpr std::size_t kNumStages = 8;
 struct MetricsSnapshot {
   std::uint64_t submitted = 0;      ///< accepted submit() calls
   std::uint64_t rejected = 0;       ///< submits refused by backpressure
-  std::uint64_t completed = 0;      ///< futures fulfilled (incl. cache hits)
+  std::uint64_t completed = 0;      ///< completions run (incl. cache hits)
   std::uint64_t cache_hits = 0;     ///< served straight from the ResultCache
   std::uint64_t cache_misses = 0;   ///< enqueued for computation
   std::uint64_t batches = 0;        ///< micro-batches dispatched
@@ -113,7 +113,7 @@ class Metrics {
   /// Records one dispatched micro-batch of `requests` requests.
   void on_batch(std::size_t requests) noexcept;
 
-  /// Records one fulfilled future and its submit→completion latency.
+  /// Records one completed request and its submit→completion latency.
   void on_completed(double latency_us) noexcept;
 
   /// Records one request's dwell time in pipeline stage `stage`.

@@ -9,6 +9,10 @@
 //   auto fut = engine.submit(target, {.multi_object = true});
 //   core::FactorizeResult result = fut.get();   // == direct factorize()
 //
+//   // Or without a waiting thread: the callback runs once per request.
+//   engine.submit(target, {}, [](std::exception_ptr error,
+//                                const core::FactorizeResult& r) { ... });
+//
 //   std::cout << engine.metrics().to_string() << "\n";
 #pragma once
 

@@ -67,7 +67,7 @@ struct RequestTrace {
   std::uint64_t dequeue_ns = 0;  ///< popped by a dispatcher (flight formed)
   std::uint64_t scan_start_ns = 0;  ///< batch handed to BatchFactorizer
   std::uint64_t scan_end_ns = 0;    ///< batch results returned
-  std::uint64_t complete_ns = 0;    ///< promise fulfilled
+  std::uint64_t complete_ns = 0;    ///< completion run
 
   bool cache_hit = false;
   std::uint32_t dispatcher = 0;  ///< dispatcher that ran the flight

@@ -7,8 +7,8 @@
 // counters and exactly-once admission-slot release), well-behaved ones are
 // unaffected, and shutdown drains every admitted request. The suite name
 // (NetFaults) is matched by the TSan job / `check.sh --tsan`, so every
-// cross-thread path (loop / dispatcher / completion workers) runs under
-// the race detector.
+// cross-thread path (loop / dispatcher / engine completion callbacks) runs
+// under the race detector.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -196,7 +196,15 @@ TEST_F(NetFaults, PipelinedBurstPastQuotaAnswersOverload) {
 }
 
 TEST_F(NetFaults, QueueFullAnswersOverload) {
-  auto engine = slow_engine();
+  // The engine queue holds one request for 300 ms, so the dispatcher blocks
+  // in submit() on the second. Then at most one more ticket fits the
+  // depth-1 admission heap: of five pipelined sends at most three are
+  // admitted, however the frames and the dispatcher interleave.
+  auto engine = std::make_unique<service::FactorizationEngine>(
+      model_, service::ServiceOptions{.max_batch = 1024,
+                                      .max_delay_us = 300'000,
+                                      .queue_capacity = 1,
+                                      .cache_capacity = 0});
   net::ServerOptions opts;
   opts.admission.depth = 1;
   opts.admission.client_quota = 64;
@@ -222,8 +230,7 @@ TEST_F(NetFaults, QueueFullAnswersOverload) {
     }
   }
   EXPECT_EQ(results + full, kSent);
-  // depth=1 and a held engine: the burst cannot all fit.
-  EXPECT_GE(full, 1u);
+  EXPECT_GE(full, 2u);
   const net::AdmissionStats stats = server.admission_stats();
   EXPECT_EQ(stats.rejected_full, full);
   EXPECT_EQ(stats.admitted, results);
@@ -382,6 +389,66 @@ TEST_F(NetFaults, RequestsAfterDrainStartAreRejectedShuttingDown) {
   }
   stopper.join();
   EXPECT_GE(seen, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The completion path: results reach the loop through engine callbacks, so
+// no response waits behind another request's computation, and a submit the
+// engine refuses is answered through the same path.
+// ---------------------------------------------------------------------------
+
+TEST_F(NetFaults, CacheHitOvertakesHeldColdRequests) {
+  // The batcher holds cold requests for 500 ms. A cache hit never enters
+  // its queue, so its response must overtake them on the same connection.
+  auto engine = std::make_unique<service::FactorizationEngine>(
+      model_, service::ServiceOptions{.max_batch = 1024,
+                                      .max_delay_us = 500'000,
+                                      .cache_capacity = 64});
+  net::NetServer server(*engine, {});
+  server.start();
+  net::NetClient client("127.0.0.1", server.port());
+  client.set_recv_timeout(10s);
+  (void)client.factorize(target_);  // cached from here on
+
+  util::Xoshiro256 rng(77);
+  const tax::Taxonomy& taxonomy = model_->books().taxonomy();
+  constexpr std::size_t kCold = 3;
+  for (std::size_t i = 0; i < kCold; ++i) {
+    (void)client.send_factorize(
+        model_->encoder().encode_object(tax::random_object(taxonomy, rng)));
+  }
+  const std::uint64_t hit_id = client.send_factorize(target_);
+  const net::NetClient::Response first = client.recv_response();
+  ASSERT_EQ(first.kind, net::NetClient::Response::Kind::kResult);
+  EXPECT_EQ(first.request_id, hit_id)
+      << "the cache hit was queued behind held cold requests";
+  EXPECT_TRUE(first.result == model_->factorizer().factorize(target_, {}));
+  for (std::size_t i = 0; i < kCold; ++i) {
+    EXPECT_EQ(client.recv_response().kind,
+              net::NetClient::Response::Kind::kResult);
+  }
+  server.stop();
+}
+
+TEST_F(NetFaults, StoppedEngineAnswersShuttingDownAndReleasesTheSlot) {
+  auto engine = fast_engine();
+  net::NetServer server(*engine, {});
+  server.start();
+  engine->stop();  // every engine submit now throws EngineStoppedError
+
+  net::NetClient client("127.0.0.1", server.port());
+  client.set_recv_timeout(5s);
+  for (int i = 0; i < 2; ++i) {
+    try {
+      (void)client.factorize(target_);
+      FAIL() << "a stopped engine's refusal was not answered";
+    } catch (const net::ServerError& e) {
+      EXPECT_EQ(e.code(), net::ErrorCode::kShuttingDown);
+    }
+  }
+  EXPECT_EQ(server.admission_stats().admitted, 2u);
+  server.stop();  // would hang if a refused ticket stayed dispatched
+  EXPECT_FALSE(server.running());
 }
 
 // ---------------------------------------------------------------------------

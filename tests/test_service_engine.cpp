@@ -9,6 +9,7 @@
 // configurations on a seeded workload.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <future>
@@ -277,6 +278,105 @@ TEST_F(ServiceEngineTest, FailedFlightPropagatesExceptionAndStaysConsistent) {
   EXPECT_EQ(m.completed, 2u)
       << "exceptionally fulfilled requests still count as completed";
   EXPECT_EQ(m.queue_depth, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Completion callbacks: the engine's one completion path (the future submit
+// wraps it). Every accepted request completes exactly once; a refused one
+// never does.
+// ---------------------------------------------------------------------------
+
+TEST_F(ServiceEngineTest, CallbackSubmitMatchesDirectAndCompletesOnce) {
+  service::FactorizationEngine engine(model_, {.max_batch = 8,
+                                               .max_delay_us = 500,
+                                               .dispatchers = 2,
+                                               .cache_capacity = 64});
+  // Two passes: the second is largely cache-served, so hits, coalesced
+  // duplicates and computed results all go through the callback.
+  const std::size_t n = 2 * work_.size();
+  std::vector<std::atomic<int>> calls(n);
+  std::vector<core::FactorizeResult> got(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const WorkItem& item = work_[i % work_.size()];
+    engine.submit(item.target, item.opts,
+                  [&, i](std::exception_ptr error,
+                         const core::FactorizeResult& result) {
+                    EXPECT_FALSE(error);
+                    got[i] = result;
+                    calls[i].fetch_add(1);
+                  });
+  }
+  engine.stop();  // drains: every completion has run afterwards
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << "request " << i;
+    EXPECT_TRUE(got[i] == work_[i % work_.size()].expected)
+        << "callback result differs from direct factorize at request " << i;
+  }
+  EXPECT_EQ(engine.metrics().completed, n);
+}
+
+TEST_F(ServiceEngineTest, CacheHitCompletesInlineOnTheSubmittingThread) {
+  service::FactorizationEngine engine(
+      model_, {.max_batch = 4, .max_delay_us = 100, .cache_capacity = 64});
+  (void)engine.submit(work_[0].target, work_[0].opts).get();  // now cached
+  bool ran = false;
+  std::thread::id ran_on;
+  engine.submit(work_[0].target, work_[0].opts,
+                [&](std::exception_ptr error,
+                    const core::FactorizeResult& result) {
+                  EXPECT_FALSE(error);
+                  EXPECT_TRUE(result == work_[0].expected);
+                  ran = true;
+                  ran_on = std::this_thread::get_id();
+                });
+  EXPECT_TRUE(ran) << "a cache hit must complete before submit returns";
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST_F(ServiceEngineTest, FailedFlightCompletesWithTheError) {
+  service::FactorizationEngine engine(
+      model_, {.max_batch = 4, .max_delay_us = 100, .cache_capacity = 64});
+  core::FactorizeOptions bad;
+  bad.selected_classes = {99};  // throws inside the dispatched flight
+  std::promise<std::exception_ptr> seen;
+  engine.submit(work_[0].target, bad,
+                [&](std::exception_ptr error,
+                    const core::FactorizeResult& result) {
+                  EXPECT_TRUE(result.objects.empty());
+                  seen.set_value(std::move(error));
+                });
+  const std::exception_ptr error = seen.get_future().get();
+  ASSERT_TRUE(error);
+  EXPECT_THROW(std::rethrow_exception(error), std::invalid_argument);
+}
+
+TEST_F(ServiceEngineTest, RefusedSubmitNeverCallsBack) {
+  std::atomic<int> calls{0};
+  const service::Completion count = [&](std::exception_ptr,
+                                        const core::FactorizeResult&) {
+    calls.fetch_add(1);
+  };
+  {
+    service::FactorizationEngine engine(model_, {});
+    EXPECT_THROW(engine.submit(hdc::Hypervector(kDim + 1), {}, count),
+                 std::invalid_argument);
+  }
+  {
+    // A parked batcher and a capacity-1 queue: the second submit is full.
+    service::FactorizationEngine engine(model_, {.max_batch = 1000,
+                                                 .max_delay_us = 5000000,
+                                                 .queue_capacity = 1,
+                                                 .reject_when_full = true,
+                                                 .cache_capacity = 0});
+    engine.submit(work_[0].target, work_[0].opts, count);
+    EXPECT_THROW(engine.submit(work_[1].target, work_[1].opts, count),
+                 service::QueueFullError);
+    engine.stop();  // drains the accepted one: exactly one call so far
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_THROW(engine.submit(work_[0].target, work_[0].opts, count),
+                 service::EngineStoppedError);
+  }
+  EXPECT_EQ(calls.load(), 1) << "a refused submit must never complete";
 }
 
 TEST_F(ServiceEngineTest, ValidatesArguments) {

@@ -5,7 +5,8 @@
 // while a poller thread snapshots metrics; afterwards every future must be
 // fulfilled with a result bit-identical to direct factorization
 // (cache-hit determinism), the queue fully drained, and the counters
-// consistent. A second scenario soaks the reject-mode backpressure path.
+// consistent. A second scenario chains submits from inside completion
+// callbacks; a third soaks the reject-mode backpressure path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -103,6 +104,71 @@ TEST_F(ServiceSoak, ProducersPollerAndDrainInvariants) {
           << "producer " << p << " request " << i;
     }
   }
+}
+
+TEST_F(ServiceSoak, ChainedCallbacksCompleteExactlyOnce) {
+  // Completions run with no engine lock held, so a completion may submit
+  // again: every first-generation request chains one follow-up from inside
+  // its callback (on a batcher thread, or on the producer for a cache hit).
+  // Every request of both generations must complete exactly once with the
+  // direct result. The queue holds everything, so no submit ever blocks.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kPerProducer = 150;
+  constexpr std::size_t kFirst = kProducers * kPerProducer;
+  service::FactorizationEngine engine(model_, {.max_batch = 16,
+                                               .max_delay_us = 200,
+                                               .queue_capacity = 2 * kFirst,
+                                               .dispatchers = 2,
+                                               .cache_capacity = 32});
+  std::vector<std::atomic<int>> calls(2 * kFirst);
+  std::atomic<std::size_t> done{0};
+  std::atomic<std::size_t> wrong{0};
+  // Checks and counts one completion of request `id` on target `t`.
+  const auto check = [&](std::size_t id,
+                         std::size_t t) -> service::Completion {
+    return [&, id, t](std::exception_ptr error,
+                      const core::FactorizeResult& result) {
+      if (error || !(result == expected_[t])) wrong.fetch_add(1);
+      calls[id].fetch_add(1);
+      done.fetch_add(1);
+    };
+  };
+
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::size_t i = 0; i < kPerProducer; ++i) {
+        const std::size_t id = p * kPerProducer + i;
+        const std::size_t t = (p + 3 * i) % targets_.size();
+        engine.submit(targets_[t], {},
+                      [&, id, t](std::exception_ptr error,
+                                 const core::FactorizeResult& result) {
+                        const std::size_t u = (t + 1) % targets_.size();
+                        engine.submit(targets_[u], {}, check(kFirst + id, u));
+                        check(id, t)(std::move(error), result);
+                      });
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  // Chained submits may still be arriving: stop() only once all are done,
+  // since a stopped engine would refuse them.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (done.load() < 2 * kFirst &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(done.load(), 2 * kFirst);
+  engine.stop();
+
+  for (std::size_t id = 0; id < calls.size(); ++id) {
+    EXPECT_EQ(calls[id].load(), 1) << "request " << id;
+  }
+  EXPECT_EQ(wrong.load(), 0u);
+  const auto m = engine.metrics();
+  EXPECT_EQ(m.submitted, 2 * kFirst);
+  EXPECT_EQ(m.completed, 2 * kFirst);
 }
 
 TEST_F(ServiceSoak, RejectModeUnderConcurrentLoad) {
