@@ -42,27 +42,6 @@ lockstep. The file's own ``schema`` field selects the validator:
   ``scan_block/m4096/d8192 >= 3.0`` (the ISSUE 7 blocked-scan acceptance
   bound; at tiny M the per-plane row pass is too short to amortize, so
   the bound is pinned at the GEMM-shaped 4096-row point).
-* ``factorhd.bench_scale.v1`` — the tiered-scan M-sweep written directly
-  by ``bench_ext_scale --json`` (context with dim/queries/flip_rate/seed/
-  SIMD tiers; one sweep row per codebook size M with clusters, nprobe,
-  per-query times, speedup, recall@1, and similarity-op counts; a
-  ``headline`` block mirroring the largest-M row — the ISSUE 5 acceptance
-  surface). Accepted for older baselines; current emitters write v4.
-* ``factorhd.bench_scale.v2`` — v1 plus the ISSUE 6 build/persistence
-  columns per row: ``build_seconds`` (default screened/pooled build),
-  ``build_reference_seconds`` (single-threaded exhaustive build; 0 when
-  skipped above the headline M), ``build_speedup`` (reference/default),
-  and ``snapshot_load_seconds`` (FTS1 file round-trip load). Full-mode
-  baselines must show build_speedup >= 3.5 on the M=262144 row and a
-  sub-second snapshot load on the largest-M row (committed as
-  BENCH_scale.json).
-* ``factorhd.bench_scale.v3`` — v2 plus the ISSUE 7 adaptive-probing
-  columns per row: ``adaptive_nprobe_min`` / ``adaptive_nprobe_max`` (the
-  floor/ceiling the adaptive view re-probed the same clustering with),
-  ``mean_probes`` (mean buckets actually probed per query), and
-  ``adaptive_recall_at_1``. Full-mode baselines must show
-  adaptive_recall_at_1 >= 0.99 with mean_probes <= 0.5 * clusters / 16
-  on the M=262144 acceptance row.
 * ``factorhd.bench_service.v1`` — the serving-runtime rows written by
   ``bench_ext_service --json`` (context with dim/items/producers/requests/
   window/seed/SIMD tier; one row per load configuration with throughput
@@ -80,16 +59,6 @@ lockstep. The file's own ``schema`` field selects the validator:
   excess load shed by explicit overload rejects with zero timeouts — the
   ISSUE 10 admission-control acceptance bounds (committed as
   BENCH_latency.json).
-* ``factorhd.bench_scale.v4`` — v3 plus the ISSUE 8 scatter-gather
-  ``shard_sweep`` list per row: one entry per shard count (ascending)
-  with ``shards``, ``build_seconds`` (per-shard tier builds),
-  ``sharded_us_per_query``, ``speedup`` (exact full scan / sharded —
-  the same baseline as every other speedup field), ``recall_at_1``,
-  and ``sharded_sim_ops``; the headline gains ``shard_speedup`` (the
-  largest-M 4-shard aggregate). Full-mode baselines must show
-  shard speedup >= 3.0 at recall@1 >= 0.99 on the largest-M 4-shard
-  entry — the ISSUE 8 acceptance bound.
-
 Only Python stdlib is used.
 """
 
@@ -119,10 +88,6 @@ KNOWN_LEVELS = set(LEVEL_NAMES.values())
 
 SCHEMA_V2 = "factorhd.bench_kernels.v2"
 SCHEMA = "factorhd.bench_kernels.v3"
-SCALE_SCHEMA = "factorhd.bench_scale.v1"
-SCALE_SCHEMA_V2 = "factorhd.bench_scale.v2"
-SCALE_SCHEMA_V3 = "factorhd.bench_scale.v3"
-SCALE_SCHEMA_V4 = "factorhd.bench_scale.v4"
 SERVICE_SCHEMA = "factorhd.bench_service.v1"
 LATENCY_SCHEMA = "factorhd.bench_latency.v1"
 
@@ -319,281 +284,6 @@ def validate(doc, schema=SCHEMA):
     return errors
 
 
-SCALE_ROW_FIELDS_V1 = (
-    "m", "clusters", "nprobe", "build_ms", "exact_us_per_query",
-    "tiered_us_per_query", "speedup", "recall_at_1", "exact_sim_ops",
-    "tiered_sim_ops",
-)
-
-# v2 renames build_ms -> build_seconds and adds the ISSUE 6 build /
-# persistence measurements.
-SCALE_ROW_FIELDS_V2 = (
-    "m", "clusters", "nprobe", "build_seconds", "build_reference_seconds",
-    "build_speedup", "snapshot_load_seconds", "exact_us_per_query",
-    "tiered_us_per_query", "speedup", "recall_at_1", "exact_sim_ops",
-    "tiered_sim_ops",
-)
-
-# v3 adds the ISSUE 7 adaptive-probing measurements: the floor/ceiling the
-# adaptive view re-probed the clustering with, the mean buckets actually
-# probed per query, and the recall the adaptive scan achieved.
-SCALE_ROW_FIELDS_V3 = SCALE_ROW_FIELDS_V2 + (
-    "adaptive_nprobe_min", "adaptive_nprobe_max", "mean_probes",
-    "adaptive_recall_at_1",
-)
-
-# v4 adds the ISSUE 8 scatter-gather shard sweep: a per-row list of
-# per-shard-count measurements over the same packed rows and queries.
-SCALE_ROW_FIELDS_V4 = SCALE_ROW_FIELDS_V3 + ("shard_sweep",)
-SHARD_ENTRY_FIELDS = (
-    "shards", "build_seconds", "sharded_us_per_query", "speedup",
-    "recall_at_1", "sharded_sim_ops",
-)
-
-# The M=262144 acceptance row of full-mode baselines must show at least
-# this build speedup (screened/pooled build vs the exhaustive
-# single-threaded reference). 3.5 admits the committed baseline's 3.623x,
-# recorded on a 4-core runner where the assignment passes scale sub-
-# linearly (the previous 4.0 bound rejected the very baseline the PR that
-# introduced it committed) ...
-MIN_BUILD_SPEEDUP = 3.5
-# ... and the largest-M row must load its snapshot in under a second.
-MAX_SNAPSHOT_LOAD_SECONDS = 1.0
-# v3 adaptive-probing acceptance at M=262144 (ISSUE 7): recall@1 at least
-# this ...
-MIN_ADAPTIVE_RECALL = 0.99
-# ... with mean probes at most this fraction of the fixed-probing default
-# (nprobe = clusters / 16).
-MAX_MEAN_PROBE_FRACTION = 0.5
-# v4 scatter-gather acceptance (ISSUE 8): the largest-M 4-shard entry of
-# full-mode baselines must reach at least this aggregate scan speedup over
-# the exact full scan (the same baseline as every other speedup field) ...
-MIN_SHARD_SPEEDUP = 3.0
-# ... at no recall cost beyond the usual tiered bound.
-MIN_SHARD_RECALL = 0.99
-SHARD_ACCEPTANCE_COUNT = 4
-
-
-def validate_scale(doc, schema=SCALE_SCHEMA):
-    """Returns a list of bench_scale v1/v2/v3/v4 violations (empty = valid)."""
-    v4 = schema == SCALE_SCHEMA_V4
-    v3 = v4 or schema == SCALE_SCHEMA_V3
-    v2 = v3 or schema == SCALE_SCHEMA_V2
-    if v4:
-        row_fields = SCALE_ROW_FIELDS_V4
-    elif v3:
-        row_fields = SCALE_ROW_FIELDS_V3
-    elif v2:
-        row_fields = SCALE_ROW_FIELDS_V2
-    else:
-        row_fields = SCALE_ROW_FIELDS_V1
-    errors = []
-    if doc.get("schema") != schema:
-        errors.append(
-            f"schema is {doc.get('schema')!r}, expected {schema!r}"
-        )
-    if doc.get("mode") not in ("full", "smoke"):
-        errors.append(f"mode is {doc.get('mode')!r}")
-    ctx = doc.get("context", {})
-    for field in ("dim", "queries", "flip_rate", "seed"):
-        if field not in ctx:
-            errors.append(f"context.{field} missing")
-    if ctx.get("simd_level") not in KNOWN_LEVELS:
-        errors.append(f"context.simd_level is {ctx.get('simd_level')!r}")
-    if ctx.get("simd_detected") not in KNOWN_LEVELS:
-        errors.append(f"context.simd_detected is {ctx.get('simd_detected')!r}")
-    sweep = doc.get("sweep") or []
-    if not sweep:
-        errors.append("no sweep rows recorded")
-    prev_m = 0
-    for row in sweep:
-        missing = [f for f in row_fields if f not in row]
-        if missing:
-            errors.append(f"sweep m={row.get('m')}: missing fields {missing}")
-            continue
-        if row["m"] <= prev_m:
-            errors.append(f"sweep m={row['m']}: rows not strictly ascending")
-        prev_m = row["m"]
-        if not 0.0 <= row["recall_at_1"] <= 1.0:
-            errors.append(f"sweep m={row['m']}: recall_at_1 out of [0, 1]")
-        if row["speedup"] <= 0:
-            errors.append(f"sweep m={row['m']}: non-positive speedup")
-        if not 1 <= row["nprobe"] <= row["clusters"]:
-            errors.append(f"sweep m={row['m']}: nprobe outside [1, clusters]")
-        if row["tiered_sim_ops"] > row["exact_sim_ops"]:
-            errors.append(
-                f"sweep m={row['m']}: tiered scans more rows than exact"
-            )
-        if v2:
-            if row["build_seconds"] <= 0:
-                errors.append(f"sweep m={row['m']}: non-positive build time")
-            if row["snapshot_load_seconds"] <= 0:
-                errors.append(
-                    f"sweep m={row['m']}: non-positive snapshot load time"
-                )
-            # The exhaustive reference may be skipped (0) above the headline
-            # M, but a measured reference must come with its speedup.
-            if row["build_reference_seconds"] > 0 and row["build_speedup"] <= 0:
-                errors.append(
-                    f"sweep m={row['m']}: reference measured but no "
-                    "build_speedup"
-                )
-        if v3:
-            if not (1 <= row["adaptive_nprobe_min"]
-                    <= row["adaptive_nprobe_max"] <= row["clusters"]):
-                errors.append(
-                    f"sweep m={row['m']}: adaptive bounds violate "
-                    "1 <= min <= max <= clusters"
-                )
-            if not (row["adaptive_nprobe_min"] <= row["mean_probes"]
-                    <= row["adaptive_nprobe_max"]):
-                errors.append(
-                    f"sweep m={row['m']}: mean_probes outside "
-                    "[adaptive_nprobe_min, adaptive_nprobe_max]"
-                )
-            if not 0.0 <= row["adaptive_recall_at_1"] <= 1.0:
-                errors.append(
-                    f"sweep m={row['m']}: adaptive_recall_at_1 out of [0, 1]"
-                )
-        if v4:
-            sweep_entries = row["shard_sweep"]
-            if not isinstance(sweep_entries, list) or not sweep_entries:
-                errors.append(f"sweep m={row['m']}: empty shard_sweep")
-                sweep_entries = []
-            prev_shards = 0
-            for entry in sweep_entries:
-                missing = [f for f in SHARD_ENTRY_FIELDS if f not in entry]
-                if missing:
-                    errors.append(
-                        f"sweep m={row['m']}: shard_sweep entry missing "
-                        f"fields {missing}"
-                    )
-                    continue
-                if entry["shards"] <= prev_shards:
-                    errors.append(
-                        f"sweep m={row['m']}: shard_sweep counts not "
-                        "strictly ascending"
-                    )
-                prev_shards = entry["shards"]
-                if entry["sharded_us_per_query"] <= 0:
-                    errors.append(
-                        f"sweep m={row['m']} shards={entry['shards']}: "
-                        "non-positive sharded_us_per_query"
-                    )
-                if entry["speedup"] <= 0:
-                    errors.append(
-                        f"sweep m={row['m']} shards={entry['shards']}: "
-                        "non-positive speedup"
-                    )
-                if not 0.0 <= entry["recall_at_1"] <= 1.0:
-                    errors.append(
-                        f"sweep m={row['m']} shards={entry['shards']}: "
-                        "recall_at_1 out of [0, 1]"
-                    )
-    head = doc.get("headline") or {}
-    if sweep and all("m" in r for r in sweep):
-        last = sweep[-1]
-        mirror = ("m", "speedup", "recall_at_1")
-        if v2:
-            mirror += ("snapshot_load_seconds",)
-        for field in mirror:
-            if head.get(field) != last.get(field):
-                errors.append(
-                    f"headline.{field} does not mirror the largest-M row"
-                )
-        if v4:
-            shard4 = next(
-                (e for e in last.get("shard_sweep") or []
-                 if e.get("shards") == SHARD_ACCEPTANCE_COUNT),
-                None,
-            )
-            if shard4 is not None and head.get("shard_speedup") != shard4.get(
-                    "speedup"):
-                errors.append(
-                    "headline.shard_speedup does not mirror the largest-M "
-                    f"{SHARD_ACCEPTANCE_COUNT}-shard entry"
-                )
-    # Full-mode baselines carry the tracked acceptance bounds (ISSUE 5/6):
-    # the M=262144 row must show >= 5x scan speedup at recall@1 >= 0.99 —
-    # and, in v2, a >= 4x build speedup plus a sub-second snapshot load at
-    # the largest M — so a regenerated BENCH_scale.json cannot silently
-    # regress below them.
-    if doc.get("mode") == "full":
-        accept = next(
-            (r for r in sweep if r.get("m") == 262144
-             and not [f for f in row_fields if f not in r]),
-            None,
-        )
-        if accept is None:
-            errors.append("full-mode sweep lacks the M=262144 acceptance row")
-        else:
-            if accept["speedup"] < 5.0:
-                errors.append(
-                    f"acceptance row m=262144: speedup {accept['speedup']} "
-                    "< 5.0"
-                )
-            if accept["recall_at_1"] < 0.99:
-                errors.append(
-                    f"acceptance row m=262144: recall_at_1 "
-                    f"{accept['recall_at_1']} < 0.99"
-                )
-            if v2 and accept["build_speedup"] < MIN_BUILD_SPEEDUP:
-                errors.append(
-                    f"acceptance row m=262144: build_speedup "
-                    f"{accept['build_speedup']} < {MIN_BUILD_SPEEDUP}"
-                )
-            if v3:
-                if accept["adaptive_recall_at_1"] < MIN_ADAPTIVE_RECALL:
-                    errors.append(
-                        f"acceptance row m=262144: adaptive_recall_at_1 "
-                        f"{accept['adaptive_recall_at_1']} < "
-                        f"{MIN_ADAPTIVE_RECALL}"
-                    )
-                probe_bound = (
-                    MAX_MEAN_PROBE_FRACTION * accept["clusters"] / 16.0
-                )
-                if accept["mean_probes"] > probe_bound:
-                    errors.append(
-                        f"acceptance row m=262144: mean_probes "
-                        f"{accept['mean_probes']} > {probe_bound} "
-                        f"(= {MAX_MEAN_PROBE_FRACTION} * clusters / 16)"
-                    )
-        if v4 and sweep:
-            last = sweep[-1]
-            shard4 = next(
-                (e for e in last.get("shard_sweep") or []
-                 if e.get("shards") == SHARD_ACCEPTANCE_COUNT),
-                None,
-            )
-            if shard4 is None:
-                errors.append(
-                    f"largest-M row m={last.get('m')}: shard_sweep lacks "
-                    f"the {SHARD_ACCEPTANCE_COUNT}-shard acceptance entry"
-                )
-            else:
-                if shard4["speedup"] < MIN_SHARD_SPEEDUP:
-                    errors.append(
-                        f"largest-M row m={last.get('m')} shards="
-                        f"{SHARD_ACCEPTANCE_COUNT}: speedup "
-                        f"{shard4['speedup']} < {MIN_SHARD_SPEEDUP}"
-                    )
-                if shard4["recall_at_1"] < MIN_SHARD_RECALL:
-                    errors.append(
-                        f"largest-M row m={last.get('m')} shards="
-                        f"{SHARD_ACCEPTANCE_COUNT}: recall_at_1 "
-                        f"{shard4['recall_at_1']} < {MIN_SHARD_RECALL}"
-                    )
-        if v2 and sweep:
-            last = sweep[-1]
-            if last.get("snapshot_load_seconds", 0) >= MAX_SNAPSHOT_LOAD_SECONDS:
-                errors.append(
-                    f"largest-M row m={last.get('m')}: snapshot_load_seconds "
-                    f"{last.get('snapshot_load_seconds')} >= "
-                    f"{MAX_SNAPSHOT_LOAD_SECONDS}"
-                )
-    return errors
-
-
 SERVICE_ROW_FIELDS = (
     "name", "seconds", "requests_per_second", "p50_us", "p99_us", "p999_us",
     "mean_batch", "hits_plus_coalesced",
@@ -760,11 +450,7 @@ def validate_latency(doc, schema=LATENCY_SCHEMA):
 def run_check(path):
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("schema") in (SCALE_SCHEMA, SCALE_SCHEMA_V2, SCALE_SCHEMA_V3,
-                             SCALE_SCHEMA_V4):
-        kind = doc["schema"]
-        errors = validate_scale(doc, kind)
-    elif doc.get("schema") == SERVICE_SCHEMA:
+    if doc.get("schema") == SERVICE_SCHEMA:
         kind = SERVICE_SCHEMA
         errors = validate_service(doc, kind)
     elif doc.get("schema") == LATENCY_SCHEMA:
@@ -800,30 +486,6 @@ def run_check(path):
             f"{overhead['sample_every']}, "
             f"simd_level={doc['context']['simd_level']})"
         )
-    elif kind in (SCALE_SCHEMA, SCALE_SCHEMA_V2, SCALE_SCHEMA_V3,
-                  SCALE_SCHEMA_V4):
-        head = doc["headline"]
-        build = (
-            f" build_speedup={head['build_speedup']}x"
-            f" snapshot_load={head['snapshot_load_seconds']}s"
-            if kind in (SCALE_SCHEMA_V2, SCALE_SCHEMA_V3, SCALE_SCHEMA_V4)
-            else ""
-        )
-        adaptive = ""
-        if kind in (SCALE_SCHEMA_V3, SCALE_SCHEMA_V4):
-            last = doc["sweep"][-1]
-            adaptive = (
-                f" mean_probes={last['mean_probes']}"
-                f" adaptive_recall@1={last['adaptive_recall_at_1']}"
-            )
-        if kind == SCALE_SCHEMA_V4:
-            adaptive += f" shard_speedup={head['shard_speedup']}x"
-        print(
-            f"{path}: schema {kind} OK ({len(doc['sweep'])} rows, headline "
-            f"m={head['m']} speedup={head['speedup']}x "
-            f"recall@1={head['recall_at_1']}{build}{adaptive}, "
-            f"simd_level={doc['context']['simd_level']})"
-        )
     else:
         blocks = doc.get("block_speedup") or {}
         block = f", {len(blocks)} block speedups" if kind == SCHEMA else ""
@@ -848,7 +510,7 @@ def main():
         "--check",
         metavar="FILE",
         help="validate FILE against its declared schema (bench_kernels.v2/"
-        "v3 or bench_scale.v1/v2/v3) and exit (no conversion)",
+        "v3, bench_service.v1 or bench_latency.v1) and exit (no conversion)",
     )
     args = ap.parse_args()
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify, end to end: configure, build, run the full CTest corpus.
 # The default (full) mode additionally validates the committed bench
-# baselines (BENCH_kernels.json, BENCH_scale.json, BENCH_service.json,
-# BENCH_latency.json) against their schemas, link-checks the markdown
+# baselines (BENCH_kernels.json, BENCH_service.json, BENCH_latency.json)
+# against their schemas, link-checks the markdown
 # docs, and runs a scripted factorhd_serve session with tracing on,
 # validating the Prometheus scrapes and the Chrome trace dump with
 # scripts/check_obs.py.
@@ -13,9 +13,9 @@
 #   scripts/check.sh --asan   # Debug + ASan/UBSan + -Werror, full corpus
 #   scripts/check.sh --tsan   # Debug + ThreadSanitizer + -Werror, the
 #                             # threading suites (batch determinism, kernel
-#                             # fuzz, batch, service soak, tiered
-#                             # snapshot/parallel build, sharded
-#                             # scatter-gather, network faults) only
+#                             # fuzz, batch, service soak, sharded
+#                             # scatter-gather, metrics, trace ring,
+#                             # network faults) only
 #
 # Extra arguments after the mode are forwarded to ctest.
 set -euo pipefail
@@ -45,11 +45,11 @@ case "${1:-}" in
     BUILD_DIR=build-tsan
     CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Debug -DFACTORHD_TSAN=ON -DFACTORHD_WERROR=ON)
     # The suites that exercise the worker pools (BatchFactorizer, the
-    # parallel plane scans, the parallel tier build, the sharded
+    # parallel plane scans, the sharded
     # scatter-gather, the serving engine, the wait-free metrics/trace
     # plumbing, and the network front end's event loop + admission queue
     # over real sockets); everything else is single-threaded.
-    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|TieredSnapshot|ModelSnapshot|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults')
+    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults')
     ;;
 esac
 CTEST_ARGS+=("$@")
@@ -60,7 +60,6 @@ ctest --test-dir "$BUILD_DIR" "${CTEST_ARGS[@]}"
 
 if [[ "$CHECK_BASELINES" == 1 ]]; then
   python3 scripts/bench_json.py --check BENCH_kernels.json
-  python3 scripts/bench_json.py --check BENCH_scale.json
   python3 scripts/bench_json.py --check BENCH_service.json
   python3 scripts/bench_json.py --check BENCH_latency.json
   python3 scripts/check_links.py

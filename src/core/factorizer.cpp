@@ -19,7 +19,6 @@ tax::Object FactorizedObject::to_object(std::size_t num_classes) const {
 }
 
 Factorizer::Factorizer(const Encoder& encoder, hdc::ScanBackend backend,
-                       const TierSnapshots* snapshots,
                        std::optional<hdc::kernels::ShardedConfig> sharded)
     : encoder_(&encoder), books_(&encoder.books()) {
   const tax::Taxonomy& t = books_->taxonomy();
@@ -27,40 +26,13 @@ Factorizer::Factorizer(const Encoder& encoder, hdc::ScanBackend backend,
   for (std::size_t c = 0; c < t.num_classes(); ++c) {
     memories_[c].reserve(t.depth(c));
     for (std::size_t l = 1; l <= t.depth(c); ++l) {
-      std::shared_ptr<const hdc::kernels::TieredItemMemory> offered;
-      if (snapshots != nullptr) {
-        const auto it = snapshots->find({c, l});
-        if (it != snapshots->end()) offered = it->second;
-      }
       memories_[c].emplace_back(books_->level_codebook(c, l), backend,
-                                std::nullopt, offered, sharded);
-      if (offered != nullptr) {
-        // Adoption is pointer identity: the memory either took the offered
-        // index as-is or rebuilt its own.
-        if (memories_[c].back().tiered() == offered.get()) {
-          ++snapshots_adopted_;
-        } else {
-          ++snapshots_rejected_;
-        }
-      }
+                                sharded);
     }
   }
-}
-
-TierSnapshots Factorizer::tier_snapshots() const {
-  TierSnapshots out;
-  for (std::size_t c = 0; c < memories_.size(); ++c) {
-    for (std::size_t i = 0; i < memories_[c].size(); ++i) {
-      if (auto tier = memories_[c][i].shared_tiered()) {
-        out.emplace(std::make_pair(c, i + 1), std::move(tier));
-      }
-    }
-  }
-  return out;
 }
 
 hdc::ScanBackend Factorizer::scan_backend() const noexcept {
-  bool any_tiered = false;
   bool any_sharded = false;
   bool any = false;
   for (const auto& per_class : memories_) {
@@ -70,9 +42,6 @@ hdc::ScanBackend Factorizer::scan_backend() const noexcept {
         case hdc::ScanBackend::kSharded:
           any_sharded = true;
           break;
-        case hdc::ScanBackend::kTiered:
-          any_tiered = true;
-          break;
         case hdc::ScanBackend::kPacked:
           break;
         default:
@@ -81,23 +50,7 @@ hdc::ScanBackend Factorizer::scan_backend() const noexcept {
     }
   }
   if (!any) return hdc::ScanBackend::kScalar;
-  if (any_sharded) return hdc::ScanBackend::kSharded;
-  return any_tiered ? hdc::ScanBackend::kTiered : hdc::ScanBackend::kPacked;
-}
-
-bool Factorizer::tiered() const noexcept {
-  for (const auto& per_class : memories_) {
-    for (const hdc::ItemMemory& m : per_class) {
-      if (m.backend() == hdc::ScanBackend::kTiered) return true;
-      // Per-shard tiers approximate the same way a single tier does, so
-      // they arm the same stall-triggered exact re-scan.
-      if (m.backend() == hdc::ScanBackend::kSharded &&
-          m.sharded()->tiered_shards()) {
-        return true;
-      }
-    }
-  }
-  return false;
+  return any_sharded ? hdc::ScanBackend::kSharded : hdc::ScanBackend::kPacked;
 }
 
 std::size_t Factorizer::shards() const noexcept {
@@ -172,18 +125,15 @@ double Factorizer::effective_threshold(const FactorizeOptions& opts) const {
 
 ClassFactorization Factorizer::factorize_class_single(
     const hdc::Hypervector& unbound, std::size_t cls, std::size_t depth,
-    hdc::ScanMode mode, std::uint64_t& sim_ops, std::uint64_t& probes) const {
+    std::uint64_t& sim_ops) const {
   ClassFactorization cf;
   cf.cls = cls;
   cf.null_similarity = hdc::similarity(unbound, books_->null_hv());
   ++sim_ops;
 
   std::uint64_t scanned = 0;
-  std::uint64_t scan_probes = 0;
-  const hdc::Match top =
-      memories_[cls][0].best(unbound, mode, &scanned, &scan_probes);
+  const hdc::Match top = memories_[cls][0].best(unbound, &scanned);
   sim_ops += scanned;
-  probes += scan_probes;
   descend_class_single(unbound, cls, depth, top, cf, sim_ops);
   return cf;
 }
@@ -236,8 +186,6 @@ std::vector<FactorizeResult> Factorizer::factorize_block(
   }
   const std::vector<std::size_t> report_classes = resolve_classes(opts);
   const std::size_t report_depth = resolve_depth(opts);
-  const hdc::ScanMode mode =
-      opts.exact_scan ? hdc::ScanMode::kExact : hdc::ScanMode::kDefault;
 
   for (FactorizeResult& r : results) {
     r.objects.emplace_back();
@@ -252,20 +200,18 @@ std::vector<FactorizeResult> Factorizer::factorize_block(
   std::vector<hdc::Hypervector> unbound;
   unbound.reserve(targets.size());
   std::vector<std::uint64_t> scanned(targets.size());
-  std::vector<std::uint64_t> scan_probes(targets.size());
   for (std::size_t cls : report_classes) {
     unbound.clear();
     for (const hdc::Hypervector& target : targets) {
       unbound.push_back(hdc::bind(target, books_->other_labels_key(cls)));
     }
-    const std::vector<hdc::Match> tops = memories_[cls][0].best_block(
-        unbound, mode, scanned.data(), scan_probes.data());
+    const std::vector<hdc::Match> tops =
+        memories_[cls][0].best_block(unbound, scanned.data());
     for (std::size_t i = 0; i < targets.size(); ++i) {
       ClassFactorization cf;
       cf.cls = cls;
       cf.null_similarity = hdc::similarity(unbound[i], books_->null_hv());
       results[i].similarity_ops += 1 + scanned[i];
-      results[i].probes += scan_probes[i];
       descend_class_single(unbound[i], cls, report_depth, tops[i], cf,
                            results[i].similarity_ops);
       results[i].objects.front().classes.push_back(std::move(cf));
@@ -276,19 +222,16 @@ std::vector<FactorizeResult> Factorizer::factorize_block(
 
 Factorizer::ClassCandidates Factorizer::collect_candidates(
     const hdc::Hypervector& unbound, std::size_t cls, std::size_t depth,
-    double th, std::size_t max_paths, hdc::ScanMode mode,
-    std::uint64_t& sim_ops, std::uint64_t& probes) const {
+    double th, std::size_t max_paths, std::uint64_t& sim_ops) const {
   ClassCandidates out;
   out.null_similarity = hdc::similarity(unbound, books_->null_hv());
   ++sim_ops;
   out.null_candidate = out.null_similarity > th;
 
   std::uint64_t scanned = 0;
-  std::uint64_t scan_probes = 0;
   std::vector<hdc::Match> level1 =
-      memories_[cls][0].above(unbound, th, mode, &scanned, &scan_probes);
+      memories_[cls][0].above(unbound, th, &scanned);
   sim_ops += scanned;
-  probes += scan_probes;
   if (level1.size() > max_paths) level1.resize(max_paths);
 
   std::vector<CandidatePath> frontier;
@@ -338,8 +281,6 @@ FactorizeResult Factorizer::factorize(const hdc::Hypervector& target,
   FactorizeResult result;
   const std::vector<std::size_t> report_classes = resolve_classes(opts);
   const std::size_t report_depth = resolve_depth(opts);
-  const hdc::ScanMode base_mode =
-      opts.exact_scan ? hdc::ScanMode::kExact : hdc::ScanMode::kDefault;
 
   if (!opts.multi_object) {
     FactorizedObject obj;
@@ -348,9 +289,7 @@ FactorizeResult Factorizer::factorize(const hdc::Hypervector& target,
       const hdc::Hypervector unbound =
           hdc::bind(target, books_->other_labels_key(cls));
       obj.classes.push_back(factorize_class_single(unbound, cls, report_depth,
-                                                   base_mode,
-                                                   result.similarity_ops,
-                                                   result.probes));
+                                                   result.similarity_ops));
     }
     result.objects.push_back(std::move(obj));
     return result;
@@ -363,100 +302,81 @@ FactorizeResult Factorizer::factorize(const hdc::Hypervector& target,
   const std::size_t full_depth = t.max_depth();
   const double th = effective_threshold(opts);
 
-  // Tiered scans can only *miss* candidates, so a stalled round (no class
-  // evidence, or no combination above TH) is re-run with exact scans before
-  // anything is concluded: convergence is never declared on an
-  // approximation artifact, and accepted objects are always verified by the
-  // exact re-encode-and-compare similarity either way.
-  const bool can_rescan = base_mode == hdc::ScanMode::kDefault && tiered();
-
   hdc::Hypervector residual = target;
   result.converged = false;
   for (std::size_t round = 0; round < opts.max_objects; ++round) {
     ++result.rounds;
     RoundTrace round_trace;
+    // Per-class thresholded candidate enumeration on the current residual.
     std::vector<ClassCandidates> cands;
+    cands.reserve(t.num_classes());
+    bool feasible = true;
+    for (std::size_t cls = 0; cls < t.num_classes(); ++cls) {
+      const hdc::Hypervector unbound =
+          hdc::bind(residual, books_->other_labels_key(cls));
+      ClassCandidates cc =
+          collect_candidates(unbound, cls, full_depth, th,
+                             opts.max_candidates_per_class,
+                             result.similarity_ops);
+      if (opts.collect_trace) {
+        round_trace.candidates_per_class.push_back(cc.paths.size());
+        round_trace.null_candidates += cc.null_candidate ? 1 : 0;
+      }
+      if (cc.paths.empty() && !cc.null_candidate) {
+        feasible = false;  // some class has no evidence left above TH
+        break;
+      }
+      cands.push_back(std::move(cc));
+    }
+
+    // Combination search: odometer over per-class options (each candidate
+    // path, plus NULL where it passed TH). Keep the combination whose
+    // re-encoding matches the residual best.
     double best_sim = th;  // acceptance requires similarity > TH
     std::optional<tax::Object> best_object;
-    hdc::ScanMode mode = base_mode;
-    while (true) {
-      round_trace = RoundTrace{};
-      // Per-class thresholded candidate enumeration on the current residual.
-      cands.clear();
-      cands.reserve(t.num_classes());
-      bool feasible = true;
-      for (std::size_t cls = 0; cls < t.num_classes(); ++cls) {
-        const hdc::Hypervector unbound =
-            hdc::bind(residual, books_->other_labels_key(cls));
-        ClassCandidates cc =
-            collect_candidates(unbound, cls, full_depth, th,
-                               opts.max_candidates_per_class, mode,
-                               result.similarity_ops, result.probes);
-        if (opts.collect_trace) {
-          round_trace.candidates_per_class.push_back(cc.paths.size());
-          round_trace.null_candidates += cc.null_candidate ? 1 : 0;
-        }
-        if (cc.paths.empty() && !cc.null_candidate) {
-          feasible = false;  // some class has no evidence left above TH
-          break;
-        }
-        cands.push_back(std::move(cc));
+    if (feasible) {
+      std::vector<std::size_t> option_count(t.num_classes());
+      for (std::size_t c = 0; c < t.num_classes(); ++c) {
+        option_count[c] =
+            cands[c].paths.size() + (cands[c].null_candidate ? 1 : 0);
       }
 
-      // Combination search: odometer over per-class options (each candidate
-      // path, plus NULL where it passed TH). Keep the combination whose
-      // re-encoding matches the residual best.
-      best_sim = th;
-      best_object.reset();
-      if (feasible) {
-        std::vector<std::size_t> option_count(t.num_classes());
+      std::vector<std::size_t> odo(t.num_classes(), 0);
+      bool more = true;
+      while (more) {
+        tax::Object combo(t.num_classes());
+        bool all_absent = true;
         for (std::size_t c = 0; c < t.num_classes(); ++c) {
-          option_count[c] =
-              cands[c].paths.size() + (cands[c].null_candidate ? 1 : 0);
+          if (odo[c] < cands[c].paths.size()) {
+            combo.set_path(c, cands[c].paths[odo[c]].path);
+            all_absent = false;
+          }
+          // else: NULL option — class left absent.
         }
-
-        std::vector<std::size_t> odo(t.num_classes(), 0);
-        bool more = true;
-        while (more) {
-          tax::Object combo(t.num_classes());
-          bool all_absent = true;
-          for (std::size_t c = 0; c < t.num_classes(); ++c) {
-            if (odo[c] < cands[c].paths.size()) {
-              combo.set_path(c, cands[c].paths[odo[c]].path);
-              all_absent = false;
-            }
-            // else: NULL option — class left absent.
+        if (!all_absent) {
+          const hdc::Hypervector combo_hv = encoder_->encode_object(combo);
+          const double s = hdc::similarity(residual, combo_hv);
+          ++result.combinations_checked;
+          if (opts.collect_trace) {
+            ++round_trace.combinations;
+            round_trace.best_similarity =
+                std::max(round_trace.best_similarity, s);
           }
-          if (!all_absent) {
-            const hdc::Hypervector combo_hv = encoder_->encode_object(combo);
-            const double s = hdc::similarity(residual, combo_hv);
-            ++result.combinations_checked;
-            if (opts.collect_trace) {
-              ++round_trace.combinations;
-              round_trace.best_similarity =
-                  std::max(round_trace.best_similarity, s);
-            }
-            if (s > best_sim) {
-              best_sim = s;
-              best_object = combo;
-            }
+          if (s > best_sim) {
+            best_sim = s;
+            best_object = combo;
           }
-          // Advance the odometer.
-          more = false;
-          for (std::size_t c = 0; c < t.num_classes(); ++c) {
-            if (++odo[c] < option_count[c]) {
-              more = true;
-              break;
-            }
-            odo[c] = 0;
+        }
+        // Advance the odometer.
+        more = false;
+        for (std::size_t c = 0; c < t.num_classes(); ++c) {
+          if (++odo[c] < option_count[c]) {
+            more = true;
+            break;
           }
+          odo[c] = 0;
         }
       }
-
-      if (best_object || mode == hdc::ScanMode::kExact || !can_rescan) break;
-      // Stalled under approximate scans: retry this round exactly.
-      mode = hdc::ScanMode::kExact;
-      ++result.exact_rescans;
     }
 
     if (!best_object) {

@@ -27,11 +27,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/encoder.hpp"
@@ -41,16 +38,6 @@
 #include "taxonomy/object.hpp"
 
 namespace factorhd::core {
-
-/// Pre-built tier indexes keyed by (class, 1-based level) — the payload of
-/// a model snapshot sidecar (service layer) offered to the Factorizer so
-/// construction can skip the k-means build for codebooks whose saved index
-/// still matches. Each entry is verified against a fresh packing before
-/// adoption (see hdc::ItemMemory), so a stale or mismatched snapshot can
-/// only cost a rebuild, never a wrong scan.
-using TierSnapshots =
-    std::map<std::pair<std::size_t, std::size_t>,
-             std::shared_ptr<const hdc::kernels::TieredItemMemory>>;
 
 struct FactorizeOptions {
   /// Use the thresholded multi-object algorithm (Rep 3). When false the
@@ -82,14 +69,6 @@ struct FactorizeOptions {
   /// FactorizeResult::trace — candidate counts, combination statistics,
   /// acceptance decisions. Off by default (allocation-free hot path).
   bool collect_trace = false;
-
-  /// Force exact full-codebook scans for this call even when the
-  /// Factorizer's item memories carry a tiered (approximate) index — the
-  /// per-call accuracy override. No effect on exact backends. Without it,
-  /// tiered scans are used where available and the multi-object loop
-  /// re-scans a stalled round exactly before declaring convergence (see
-  /// FactorizeResult::exact_rescans).
-  bool exact_scan = false;
 
   /// Exact field-wise equality — the grouping relation of the serving
   /// layer's micro-batcher (requests batch together only under identical
@@ -150,19 +129,7 @@ struct FactorizeResult {
   /// True when the loop stopped because nothing above TH remained (rather
   /// than hitting max_objects).
   bool converged = true;
-  /// Multi-object rounds that stalled under tiered (approximate) scans and
-  /// were re-run with exact scans before concluding anything (0 on exact
-  /// backends and under FactorizeOptions::exact_scan). A non-zero value
-  /// means the tiered index missed candidates that round; the exact re-scan
-  /// guarantees convergence is never declared on an approximation artifact.
-  std::uint64_t exact_rescans = 0;
-  /// Tiered coarse-stage buckets probed across all full-codebook scans (the
-  /// sum of TieredItemMemory::ScanStats::probes). 0 on exact backends and
-  /// under FactorizeOptions::exact_scan. Like similarity_ops, a pure
-  /// function of (target, opts) — part of the bit-identity contract.
-  std::uint64_t probes = 0;
-  /// Residual subtract-and-repeat rounds executed in multi-object mode
-  /// (each stalled round counts once even when it re-ran exactly). 0 in
+  /// Residual subtract-and-repeat rounds executed in multi-object mode. 0 in
   /// single-object mode.
   std::uint64_t rounds = 0;
   /// Per-round diagnostics; populated only when options.collect_trace.
@@ -187,46 +154,25 @@ class Factorizer {
   ///   forced hdc::ScanBackend::kPacked* values pin the packed kernels to
   ///   one SIMD tier (throwing when that tier is unavailable on this CPU) —
   ///   the knob the cross-backend differential tests run the whole
-  ///   Algorithm 1 pipeline on. Under kAuto, codebooks at/above
-  ///   FACTORHD_TIERED_MIN_ROWS rows additionally build the two-stage
-  ///   tiered index (hdc::ScanBackend::kTiered forces it), making full
-  ///   level-1 scans approximate; FactorizeOptions::exact_scan restores
-  ///   exact scans per call and stalled multi-object rounds re-scan
-  ///   exactly on their own.
+  ///   Algorithm 1 pipeline on. Every backend scans exactly at every
+  ///   codebook size.
   /// \throws std::invalid_argument When `backend` is kPacked but a codebook
   ///   is not packable (never the case for generated taxonomy codebooks),
   ///   or when a forced kPacked* SIMD level is unavailable on this CPU.
   ///
-  /// \param snapshots Optional pre-built tier indexes per (class, level)
-  ///   slot, offered to the matching ItemMemory constructions (adopt after
-  ///   verification, else rebuild). Consulted only during construction; may
-  ///   be null. Tally the outcome via snapshots_adopted() / rejected().
-  ///   Whole-codebook snapshots are never adopted while sharding is active
-  ///   (a partition needs per-shard indexes) and count as rejected.
-  ///
   /// \param sharded Optional shard configuration threaded to every internal
   ///   ItemMemory (hdc::ScanBackend::kSharded semantics under kAuto: an
   ///   explicit config forces the scatter-gather partition; see
-  ///   hdc::ItemMemory). Sharded scans stay bit-identical to unsharded ones
-  ///   whenever the shards scan exact.
+  ///   hdc::ItemMemory). Sharded scans are bit-identical to unsharded ones.
   explicit Factorizer(
       const Encoder& encoder,
       hdc::ScanBackend backend = hdc::ScanBackend::kAuto,
-      const TierSnapshots* snapshots = nullptr,
       std::optional<hdc::kernels::ShardedConfig> sharded = std::nullopt);
 
   /// \return The backend the codebook scans resolved to: kScalar when any
   ///   internal ItemMemory fell back to scalar, else kSharded when any
-  ///   memory scatter-gathers across a shard partition, else kTiered when
-  ///   any memory carries the two-stage index (large codebooks under kAuto,
-  ///   or an explicit kTiered backend), else kPacked.
+  ///   memory scatter-gathers across a shard partition, else kPacked.
   [[nodiscard]] hdc::ScanBackend scan_backend() const noexcept;
-
-  /// \return True when any internal ItemMemory scans through a tiered
-  ///   (approximate) index — directly or via per-shard tiers — the
-  ///   condition under which the multi-object loop arms its
-  ///   stall-triggered exact re-scan.
-  [[nodiscard]] bool tiered() const noexcept;
 
   /// \return The scatter-gather shard count of the largest internal memory
   ///   partition: 1 when unsharded — the count service::FactorizationEngine
@@ -245,22 +191,6 @@ class Factorizer {
   ///   across all internal memories); std::nullopt when scans are scalar.
   [[nodiscard]] std::optional<hdc::kernels::SimdLevel> simd_level()
       const noexcept;
-
-  /// \return Offered snapshots adopted at construction (planes verified
-  ///   bit-equal, k-means build skipped).
-  [[nodiscard]] std::size_t snapshots_adopted() const noexcept {
-    return snapshots_adopted_;
-  }
-  /// \return Offered snapshots rejected at construction (mismatched or for
-  ///   a slot that builds no tier index) — each one cost a fresh build.
-  [[nodiscard]] std::size_t snapshots_rejected() const noexcept {
-    return snapshots_rejected_;
-  }
-
-  /// \return Every tier index this factorizer scans through, keyed by
-  ///   (class, level) — what the model snapshot sidecar persists. Empty on
-  ///   exact backends.
-  [[nodiscard]] TierSnapshots tier_snapshots() const;
 
   /// Runs Algorithm 1 on `target` (an encoded object or scene).
   /// \param target Encoded object/scene HV of the codebooks' dimension.
@@ -319,14 +249,11 @@ class Factorizer {
       const FactorizeOptions& opts) const;
   [[nodiscard]] std::size_t resolve_depth(const FactorizeOptions& opts) const;
 
-  /// Single-object top-down argmax factorization of one class. `mode`
-  /// selects tiered vs exact level-1 scans (deeper levels are restricted
-  /// best_among searches, exact on every backend). `probes` accumulates the
-  /// tiered coarse-stage buckets probed (0 on exact scans).
+  /// Single-object top-down argmax factorization of one class: a full
+  /// level-1 scan, then restricted best_among searches below it.
   [[nodiscard]] ClassFactorization factorize_class_single(
       const hdc::Hypervector& unbound, std::size_t cls, std::size_t depth,
-      hdc::ScanMode mode, std::uint64_t& sim_ops,
-      std::uint64_t& probes) const;
+      std::uint64_t& sim_ops) const;
 
   /// Completes a single-object class factorization from its level-1 argmax
   /// `top` — the NULL-vs-top decision plus the restricted level 2..depth
@@ -338,20 +265,15 @@ class Factorizer {
                             ClassFactorization& cf,
                             std::uint64_t& sim_ops) const;
 
-  /// Multi-object thresholded candidate enumeration for one class; `mode`
-  /// selects tiered vs exact level-1 `above` scans. `probes` accumulates as
-  /// in factorize_class_single.
+  /// Multi-object thresholded candidate enumeration for one class.
   [[nodiscard]] ClassCandidates collect_candidates(
       const hdc::Hypervector& unbound, std::size_t cls, std::size_t depth,
-      double th, std::size_t max_paths, hdc::ScanMode mode,
-      std::uint64_t& sim_ops, std::uint64_t& probes) const;
+      double th, std::size_t max_paths, std::uint64_t& sim_ops) const;
 
   const Encoder* encoder_;
   const tax::TaxonomyCodebooks* books_;
   /// Item memories per class per level: memories_[cls][level-1].
   std::vector<std::vector<hdc::ItemMemory>> memories_;
-  std::size_t snapshots_adopted_ = 0;
-  std::size_t snapshots_rejected_ = 0;
 };
 
 }  // namespace factorhd::core

@@ -6,7 +6,6 @@
 #include "hdc/hypervector.hpp"   // IWYU pragma: export
 #include "hdc/item_memory.hpp"   // IWYU pragma: export
 #include "hdc/kernels/packed_item_memory.hpp"  // IWYU pragma: export
-#include "hdc/kernels/tiered_item_memory.hpp"  // IWYU pragma: export
 #include "hdc/level.hpp"         // IWYU pragma: export
 #include "hdc/match.hpp"         // IWYU pragma: export
 #include "hdc/ops.hpp"           // IWYU pragma: export

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "hdc/kernels/packed_item_memory.hpp"
-#include "hdc/kernels/tiered_item_memory.hpp"
 #include "hdc/similarity.hpp"
 
 namespace factorhd::hdc {
@@ -19,11 +18,9 @@ using kernels::PackedQuery;
 using kernels::ShardedConfig;
 using kernels::ShardedItemMemory;
 using kernels::SimdLevel;
-using kernels::TieredConfig;
-using kernels::TieredItemMemory;
 
 // The SIMD tier a forced kPacked* backend names; nullopt for every backend
-// that dispatches (kAuto/kPacked/kTiered) or never packs (kScalar).
+// that dispatches (kAuto/kPacked/kSharded) or never packs (kScalar).
 std::optional<SimdLevel> forced_simd_level(ScanBackend backend) noexcept {
   switch (backend) {
     case ScanBackend::kPackedWords:
@@ -39,72 +36,16 @@ std::optional<SimdLevel> forced_simd_level(ScanBackend backend) noexcept {
   }
 }
 
-// A loaded snapshot is adopted only when its packed rows are bit-equal to
-// a fresh packing of the codebook: same geometry, same SIMD tier, and
-// plane-for-plane identical words. Anything else — a snapshot of a
-// different codebook, a stale save, a different dimension — is rejected
-// and the caller rebuilds, so adoption can never change a scan result.
-bool snapshot_matches(const TieredItemMemory& snapshot,
-                      const PackedItemMemory& fresh) noexcept {
-  const PackedItemMemory& rows = snapshot.rows();
-  if (rows.layout() != fresh.layout() || rows.dim() != fresh.dim() ||
-      rows.size() != fresh.size() ||
-      rows.simd_level() != fresh.simd_level()) {
-    return false;
-  }
-  const auto sign_a = rows.sign_plane();
-  const auto sign_b = fresh.sign_plane();
-  if (!std::equal(sign_a.begin(), sign_a.end(), sign_b.begin(),
-                  sign_b.end())) {
-    return false;
-  }
-  const auto nz_a = rows.nonzero_plane();
-  const auto nz_b = fresh.nonzero_plane();
-  return std::equal(nz_a.begin(), nz_a.end(), nz_b.begin(), nz_b.end());
-}
-
 }  // namespace
 
 ItemMemory::ItemMemory(const Codebook& codebook, ScanBackend backend,
-                       std::optional<TieredConfig> tiered,
-                       std::shared_ptr<const TieredItemMemory> snapshot,
                        std::optional<ShardedConfig> sharded)
     : codebook_(&codebook) {
-  if (tiered.has_value() && backend != ScanBackend::kAuto &&
-      backend != ScanBackend::kTiered && backend != ScanBackend::kSharded) {
-    throw std::invalid_argument(
-        "ItemMemory: a TieredConfig requires the kAuto, kTiered, or "
-        "kSharded backend");
-  }
   if (sharded.has_value() && backend != ScanBackend::kAuto &&
       backend != ScanBackend::kSharded) {
     throw std::invalid_argument(
         "ItemMemory: a ShardedConfig requires the kAuto or kSharded backend");
   }
-  // Adopt the offered snapshot after verification, or pay the k-means
-  // build. On adoption packed_ switches to the snapshot's planes so exact
-  // and tiered scans read the same (possibly mmap-shared) memory and the
-  // verification packing is freed.
-  const auto build_tier = [&] {
-    if (snapshot != nullptr && snapshot_matches(*snapshot, *packed_)) {
-      packed_ = snapshot->shared_rows();
-      tiered_ = std::move(snapshot);
-      return;
-    }
-    tiered_ = std::make_shared<const TieredItemMemory>(
-        packed_, tiered.value_or(kernels::tiered_config_from_env()));
-  };
-  // Partition packed_ into the configured shard count, with per-shard tier
-  // indexes exactly where the unsharded constructor would have built one
-  // tier. A whole-codebook `snapshot` cannot back a partition (per-shard
-  // snapshots go through the ShardedItemMemory constructor directly) and is
-  // treated as rejected.
-  const auto build_sharded = [&](ShardedConfig config, bool want_tier) {
-    if (want_tier && !config.tiered.has_value()) {
-      config.tiered = tiered.value_or(kernels::tiered_config_from_env());
-    }
-    sharded_ = std::make_shared<const ShardedItemMemory>(packed_, config);
-  };
   switch (backend) {
     case ScanBackend::kScalar:
       break;
@@ -112,60 +53,40 @@ ItemMemory::ItemMemory(const Codebook& codebook, ScanBackend backend,
       // Throws std::invalid_argument when the codebook is not packable.
       packed_ = std::make_shared<const PackedItemMemory>(codebook);
       break;
-    case ScanBackend::kTiered:
+    case ScanBackend::kSharded:
       packed_ = std::make_shared<const PackedItemMemory>(codebook);
-      build_tier();
+      sharded_ = std::make_shared<const ShardedItemMemory>(
+          packed_, sharded.value_or(kernels::sharded_config_from_env()));
       break;
-    case ScanBackend::kSharded: {
-      packed_ = std::make_shared<const PackedItemMemory>(codebook);
-      const std::size_t min_rows = kernels::tiered_auto_min_rows();
-      const bool want_tier =
-          tiered.has_value() || (min_rows > 0 && codebook.size() >= min_rows);
-      build_sharded(sharded.value_or(kernels::sharded_config_from_env()),
-                    want_tier);
-      break;
-    }
-    case ScanBackend::kAuto:
-      if (tiered.has_value() && !PackedItemMemory::packable(codebook)) {
-        // An explicit config promises a tier index; never drop it silently.
-        throw std::invalid_argument(
-            "ItemMemory: TieredConfig given but the codebook is not "
-            "packable (entries outside {-1, 0, +1})");
-      }
-      if (sharded.has_value() && !PackedItemMemory::packable(codebook)) {
+    case ScanBackend::kAuto: {
+      const bool packable = PackedItemMemory::packable(codebook);
+      if (sharded.has_value() && !packable) {
         throw std::invalid_argument(
             "ItemMemory: ShardedConfig given but the codebook is not "
             "packable (entries outside {-1, 0, +1})");
       }
-      if (PackedItemMemory::packable(codebook)) {
-        packed_ = std::make_shared<const PackedItemMemory>(codebook);
-        // Auto-upgrade to the tiered index for very large codebooks (an
-        // explicit config forces it regardless of the threshold; min_rows
-        // of 0 disables the upgrade so kAuto stays exact everywhere).
-        const std::size_t min_rows = kernels::tiered_auto_min_rows();
-        const bool want_tier =
-            tiered.has_value() || (min_rows > 0 && codebook.size() >= min_rows);
-        // Partition when explicitly configured with 2+ shards, or when the
-        // FACTORHD_SHARDS env knob asks for 2+ and the codebook clears the
-        // FACTORHD_SHARD_MIN_ROWS threshold (below it the scatter-gather
-        // bookkeeping costs more than the scan saves).
-        ShardedConfig shard_cfg =
-            sharded.value_or(kernels::sharded_config_from_env());
-        if (shard_cfg.shards == 0) {
-          shard_cfg.shards = kernels::sharded_config_from_env().shards;
-        }
-        const std::size_t shard_min = kernels::sharded_auto_min_rows();
-        const bool want_shards =
-            shard_cfg.shards >= 2 &&
-            (sharded.has_value() ||
-             (shard_min > 0 && codebook.size() >= shard_min));
-        if (want_shards) {
-          build_sharded(std::move(shard_cfg), want_tier);
-        } else if (want_tier) {
-          build_tier();
-        }
+      if (!packable) break;
+      packed_ = std::make_shared<const PackedItemMemory>(codebook);
+      // Partition when explicitly configured with 2+ shards, or when the
+      // FACTORHD_SHARDS env knob asks for 2+ and the codebook clears the
+      // FACTORHD_SHARD_MIN_ROWS threshold (below it the scatter-gather
+      // bookkeeping costs more than the scan saves).
+      ShardedConfig shard_cfg =
+          sharded.value_or(kernels::sharded_config_from_env());
+      if (shard_cfg.shards == 0) {
+        shard_cfg.shards = kernels::sharded_config_from_env().shards;
+      }
+      const std::size_t shard_min = kernels::sharded_auto_min_rows();
+      const bool want_shards =
+          shard_cfg.shards >= 2 &&
+          (sharded.has_value() ||
+           (shard_min > 0 && codebook.size() >= shard_min));
+      if (want_shards) {
+        sharded_ =
+            std::make_shared<const ShardedItemMemory>(packed_, shard_cfg);
       }
       break;
+    }
     case ScanBackend::kPackedWords:
     case ScanBackend::kPackedAVX2:
     case ScanBackend::kPackedAVX512:
@@ -202,30 +123,12 @@ static std::optional<PackedQuery> packed_route(
   return PackedQuery::pack(query, packed->simd_level());
 }
 
-Match ItemMemory::best(const Hypervector& query, ScanMode mode,
-                       std::uint64_t* scanned, std::uint64_t* probes) const {
-  if (probes != nullptr) *probes = 0;
+Match ItemMemory::best(const Hypervector& query,
+                       std::uint64_t* scanned) const {
   if (auto q = packed_route(packed_, query)) {
-    if (sharded_) {
-      TieredItemMemory::ScanStats stats;
-      const Match m =
-          sharded_->best(*q, mode == ScanMode::kExact, &stats);
-      count(stats.centroid_dots + stats.row_dots);
-      if (scanned != nullptr) *scanned = stats.centroid_dots + stats.row_dots;
-      if (probes != nullptr) *probes = stats.probes;
-      return m;
-    }
-    if (tiered_ && mode == ScanMode::kDefault) {
-      TieredItemMemory::ScanStats stats;
-      const Match m = tiered_->best(*q, &stats);
-      count(stats.centroid_dots + stats.row_dots);
-      if (scanned != nullptr) *scanned = stats.centroid_dots + stats.row_dots;
-      if (probes != nullptr) *probes = stats.probes;
-      return m;
-    }
     count(packed_->size());
     if (scanned != nullptr) *scanned = packed_->size();
-    return packed_->best(*q);
+    return sharded_ ? sharded_->best(*q) : packed_->best(*q);
   }
   Match m{0, similarity(query, codebook_->item(0))};
   count(1);
@@ -239,20 +142,14 @@ Match ItemMemory::best(const Hypervector& query, ScanMode mode,
 }
 
 std::vector<Match> ItemMemory::best_block(std::span<const Hypervector> queries,
-                                          ScanMode mode,
-                                          std::uint64_t* scanned,
-                                          std::uint64_t* probes) const {
+                                          std::uint64_t* scanned) const {
   if (queries.empty()) return {};
-  // The one-pass blocked kernels need the packed planes, exact
-  // full-codebook semantics, and a packable alphabet for every query.
-  // Everything else takes the per-query path below — bit-identical by the
-  // kernels' contract, so this routing never changes a result. A sharded
-  // memory runs the blocked kernels per shard (scatter-gather) under the
-  // same exactness gate, per-shard tiers standing in for the single tier.
-  const bool blocked_ok =
-      sharded_ ? (!sharded_->tiered_shards() || mode == ScanMode::kExact)
-               : (!tiered_ || mode == ScanMode::kExact);
-  if (packed_ && blocked_ok) {
+  // The one-pass blocked kernels need the packed planes and a packable
+  // alphabet for every query. Everything else takes the per-query path
+  // below — bit-identical by the kernels' contract, so this routing never
+  // changes a result. A sharded memory runs the blocked kernels per shard
+  // (scatter-gather).
+  if (packed_) {
     std::vector<PackedQuery> packed;
     packed.reserve(queries.size());
     for (const Hypervector& query : queries) {
@@ -265,20 +162,14 @@ std::vector<Match> ItemMemory::best_block(std::span<const Hypervector> queries,
       if (scanned != nullptr) {
         std::fill_n(scanned, queries.size(), packed_->size());
       }
-      // The one-pass route is always an exact scan: no buckets probed.
-      if (probes != nullptr) std::fill_n(probes, queries.size(), 0);
-      if (sharded_) {
-        return sharded_->best_block(packed, mode == ScanMode::kExact);
-      }
-      return packed_->best_block(packed);
+      return sharded_ ? sharded_->best_block(packed)
+                      : packed_->best_block(packed);
     }
   }
   std::vector<Match> out;
   out.reserve(queries.size());
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    out.push_back(best(queries[q], mode,
-                       scanned != nullptr ? scanned + q : nullptr,
-                       probes != nullptr ? probes + q : nullptr));
+    out.push_back(best(queries[q], scanned != nullptr ? scanned + q : nullptr));
   }
   return out;
 }
@@ -303,31 +194,13 @@ Match ItemMemory::best_among(const Hypervector& query,
 }
 
 std::vector<Match> ItemMemory::above(const Hypervector& query,
-                                     double threshold, ScanMode mode,
-                                     std::uint64_t* scanned,
-                                     std::uint64_t* probes) const {
-  if (probes != nullptr) *probes = 0;
+                                     double threshold,
+                                     std::uint64_t* scanned) const {
   if (auto q = packed_route(packed_, query)) {
-    if (sharded_) {
-      TieredItemMemory::ScanStats stats;
-      std::vector<Match> out =
-          sharded_->above(*q, threshold, mode == ScanMode::kExact, &stats);
-      count(stats.centroid_dots + stats.row_dots);
-      if (scanned != nullptr) *scanned = stats.centroid_dots + stats.row_dots;
-      if (probes != nullptr) *probes = stats.probes;
-      return out;
-    }
-    if (tiered_ && mode == ScanMode::kDefault) {
-      TieredItemMemory::ScanStats stats;
-      std::vector<Match> out = tiered_->above(*q, threshold, &stats);
-      count(stats.centroid_dots + stats.row_dots);
-      if (scanned != nullptr) *scanned = stats.centroid_dots + stats.row_dots;
-      if (probes != nullptr) *probes = stats.probes;
-      return out;
-    }
     count(packed_->size());
     if (scanned != nullptr) *scanned = packed_->size();
-    return packed_->above(*q, threshold);
+    return sharded_ ? sharded_->above(*q, threshold)
+                    : packed_->above(*q, threshold);
   }
   std::vector<Match> out;
   for (std::size_t j = 0; j < codebook_->size(); ++j) {
@@ -358,37 +231,16 @@ std::vector<Match> ItemMemory::above_among(
 }
 
 std::vector<Match> ItemMemory::top_k(const Hypervector& query, std::size_t k,
-                                     ScanMode mode, std::uint64_t* scanned,
-                                     std::uint64_t* probes) const {
-  if (probes != nullptr) *probes = 0;
+                                     std::uint64_t* scanned) const {
   if (k == 0) {
-    // Nothing was asked for: answer without scanning (on every backend —
-    // the tiered path would otherwise risk its empty-bucket exact-scan
-    // fallback and charge a full-memory scan for an empty result).
+    // Nothing was asked for: answer without scanning, on every backend.
     if (scanned != nullptr) *scanned = 0;
     return {};
   }
   if (auto q = packed_route(packed_, query)) {
-    if (sharded_) {
-      TieredItemMemory::ScanStats stats;
-      std::vector<Match> out =
-          sharded_->top_k(*q, k, mode == ScanMode::kExact, &stats);
-      count(stats.centroid_dots + stats.row_dots);
-      if (scanned != nullptr) *scanned = stats.centroid_dots + stats.row_dots;
-      if (probes != nullptr) *probes = stats.probes;
-      return out;
-    }
-    if (tiered_ && mode == ScanMode::kDefault) {
-      TieredItemMemory::ScanStats stats;
-      std::vector<Match> out = tiered_->top_k(*q, k, &stats);
-      count(stats.centroid_dots + stats.row_dots);
-      if (scanned != nullptr) *scanned = stats.centroid_dots + stats.row_dots;
-      if (probes != nullptr) *probes = stats.probes;
-      return out;
-    }
     count(packed_->size());
     if (scanned != nullptr) *scanned = packed_->size();
-    return packed_->top_k(*q, k);
+    return sharded_ ? sharded_->top_k(*q, k) : packed_->top_k(*q, k);
   }
   std::vector<Match> all;
   all.reserve(codebook_->size());

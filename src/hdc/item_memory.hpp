@@ -20,17 +20,9 @@
 // queries (e.g. the multi-object residual) transparently fall back to the
 // scalar loop per call. Copies share the immutable packed planes.
 //
-// A third, *approximate* backend exists for codebooks far beyond the paper's
-// sizes: kTiered routes full-codebook scans (best / above / top_k) through
-// kernels::TieredItemMemory, a two-stage coarse-quantization cascade that
-// scans cluster centroids first and runs the exact packed scan only over the
-// top-nprobe buckets. kAuto upgrades to it automatically at/above
-// FACTORHD_TIERED_MIN_ROWS rows (default 65536 — far beyond every paper
-// workload, so kAuto stays bit-exact there). Tiered scans can miss rows but
-// never mis-rank the rows they scan; per call, ScanMode::kExact forces the
-// exact packed path (the Factorizer's stall fallback), and the
-// index-restricted scans (best_among / above_among) and dots are always
-// exact.
+// Every backend scans exactly at every codebook size: kAuto never trades
+// accuracy for speed. Large codebooks can be split across shards
+// (kSharded), which is bit-identical to the unsharded scan.
 #pragma once
 
 #include <atomic>
@@ -45,7 +37,6 @@
 #include "hdc/hypervector.hpp"
 #include "hdc/kernels/sharded_item_memory.hpp"
 #include "hdc/kernels/simd.hpp"
-#include "hdc/kernels/tiered_item_memory.hpp"
 #include "hdc/match.hpp"
 
 namespace factorhd::hdc {
@@ -65,94 +56,52 @@ class PackedItemMemory;
 /// degrading silently.
 enum class ScanBackend {
   kAuto,    ///< packed when the codebook is bipolar/ternary, else scalar;
-            ///< additionally tiered at/above FACTORHD_TIERED_MIN_ROWS rows
+            ///< exact at every codebook size, and sharded when
+            ///< FACTORHD_SHARDS and FACTORHD_SHARD_MIN_ROWS ask for it
   kScalar,  ///< always the int32 dot-product loops
   kPacked,  ///< word-plane kernels at the dispatched SIMD level
   kPackedWords,   ///< word-plane kernels, forced scalar 64-bit word loops
   kPackedAVX2,    ///< word-plane kernels, forced AVX2 tier
   kPackedAVX512,  ///< word-plane kernels, forced AVX-512 tier
   kPackedNEON,    ///< word-plane kernels, forced NEON tier
-  kTiered,  ///< two-stage coarse-then-exact scans (kernels::TieredItemMemory)
-            ///< at the dispatched SIMD level; approximate unless nprobe
-            ///< covers every cluster
   kSharded,  ///< scatter-gather scans over a row-partitioned codebook
              ///< (kernels::ShardedItemMemory) at the dispatched SIMD level;
-             ///< bit-identical to the unsharded scan when the shards scan
-             ///< exact (no per-shard tiers, or tiers probing every cluster)
-};
-
-/// Per-call accuracy selection for the full-codebook scans of a tiered
-/// ItemMemory. On the scalar/packed backends both modes are identical.
-enum class ScanMode {
-  kDefault,  ///< the memory's backend as configured (tiered when built)
-  kExact,    ///< force the exact full scan (packed kernels or scalar loop)
+             ///< bit-identical to the unsharded scan at every shard count
 };
 
 class ItemMemory {
  public:
   /// Non-owning view over a codebook; the codebook must outlive the memory.
   /// With kAuto (the default) a bipolar/ternary codebook is additionally
-  /// packed into word planes at construction (O(size * dim) once), and the
-  /// tiered index is built on top when the codebook has at least
-  /// kernels::tiered_auto_min_rows() rows (or when `tiered` is given).
+  /// packed into word planes at construction (O(size * dim) once).
   /// \param codebook Codebook to scan; must outlive this object.
   /// \param backend Backend selection policy (see ScanBackend).
-  /// \param tiered Explicit tier configuration. With kTiered it overrides
-  ///   the FACTORHD_TIERED_* env defaults; with kAuto it additionally forces
-  ///   the tiered index regardless of the row-count threshold (the hook the
-  ///   differential tests and benches configure exact-coverage indexes
-  ///   through). Invalid with every other backend.
-  /// \throws std::invalid_argument When `backend` is kPacked/kTiered (or a
-  ///   forced kPacked* level) but the codebook has an entry outside
-  ///   {-1, 0, +1} or is empty, when a forced SIMD level is not available on
-  ///   this CPU (kernels::simd_level_available), or when `tiered` is given
-  ///   with a backend that never builds the tier index.
-  ///
-  /// \param snapshot Optional pre-built tier index (a loaded FTS1 snapshot,
-  ///   see hdc/kernels/tiered_snapshot.hpp) offered in place of the k-means
-  ///   build. It is adopted only where this constructor would build a tier
-  ///   index anyway, and only after its packed row planes are verified
-  ///   bit-equal to a fresh packing of `codebook` — a snapshot of the wrong
-  ///   or a stale codebook is silently rejected and the tier is rebuilt, so
-  ///   scans are bit-identical either way. On adoption the memory's exact
-  ///   scans also run off the snapshot's (possibly mmap-shared) planes and
-  ///   the fresh packing is dropped. Check adoption via tiered() pointer
-  ///   identity. A whole-codebook snapshot is never adopted while sharding
-  ///   is active (the partition needs per-shard indexes — see
-  ///   kernels::load_sharded_index()).
-  ///
   /// \param sharded Shard configuration (kernels::ShardedConfig). With
   ///   kSharded it is the partition spec (shards of 0 resolve from
   ///   FACTORHD_SHARDS); with kAuto an explicit config forces the partition
   ///   regardless of the FACTORHD_SHARD_MIN_ROWS threshold, while a purely
-  ///   env-requested shard count only applies at/above it. Sharded memories
-  ///   build per-shard tier indexes exactly where the unsharded constructor
-  ///   would have built one tier (the `tiered` config then resolves per
-  ///   shard row count). Invalid with any backend other than kAuto/kSharded.
+  ///   env-requested shard count only applies at/above it. Invalid with any
+  ///   backend other than kAuto/kSharded.
+  /// \throws std::invalid_argument When `backend` is kPacked/kSharded (or a
+  ///   forced kPacked* level) but the codebook has an entry outside
+  ///   {-1, 0, +1} or is empty, when a forced SIMD level is not available on
+  ///   this CPU (kernels::simd_level_available), or when `sharded` is given
+  ///   with a backend that never partitions.
   explicit ItemMemory(
       const Codebook& codebook, ScanBackend backend = ScanBackend::kAuto,
-      std::optional<kernels::TieredConfig> tiered = std::nullopt,
-      std::shared_ptr<const kernels::TieredItemMemory> snapshot = nullptr,
       std::optional<kernels::ShardedConfig> sharded = std::nullopt);
 
   [[nodiscard]] const Codebook& codebook() const noexcept { return *codebook_; }
   [[nodiscard]] std::size_t size() const noexcept { return codebook_->size(); }
 
   /// \return The backend scans resolve to: kSharded when the codebook was
-  ///   partitioned (full scans scatter-gather across the shards), kTiered
-  ///   when the tier index was built (full scans are then approximate by
-  ///   default), kPacked when the codebook was packed (bipolar/ternary
-  ///   queries use the kernels; integer-bundle queries still fall back to
-  ///   scalar per call), kScalar otherwise.
+  ///   partitioned (full scans scatter-gather across the shards), kPacked
+  ///   when the codebook was packed (bipolar/ternary queries use the
+  ///   kernels; integer-bundle queries still fall back to scalar per call),
+  ///   kScalar otherwise.
   [[nodiscard]] ScanBackend backend() const noexcept {
     if (sharded_) return ScanBackend::kSharded;
-    if (tiered_) return ScanBackend::kTiered;
     return packed_ ? ScanBackend::kPacked : ScanBackend::kScalar;
-  }
-
-  /// \return The tier index, or nullptr on the scalar/packed backends.
-  [[nodiscard]] const kernels::TieredItemMemory* tiered() const noexcept {
-    return tiered_.get();
   }
 
   /// \return The sharded scatter-gather memory, or nullptr when unsharded.
@@ -160,72 +109,42 @@ class ItemMemory {
     return sharded_.get();
   }
 
-  /// \return Shared ownership of the sharded memory (null when unsharded) —
-  ///   what kernels::save_sharded_index() persists per shard.
-  [[nodiscard]] std::shared_ptr<const kernels::ShardedItemMemory>
-  shared_sharded() const noexcept {
-    return sharded_;
-  }
-
-  /// \return Shared ownership of the tier index (null on exact backends) —
-  ///   what the snapshot writer serializes (hdc/kernels/tiered_snapshot.hpp).
-  [[nodiscard]] std::shared_ptr<const kernels::TieredItemMemory>
-  shared_tiered() const noexcept {
-    return tiered_;
-  }
-
   /// \return The SIMD tier packed scans execute at; std::nullopt on the
   ///   scalar backend.
   [[nodiscard]] std::optional<kernels::SimdLevel> simd_level() const noexcept;
 
   /// Best match over the full codebook (argmax of similarity; the first
-  /// maximum wins on ties). On the tiered backend this scans only the
-  /// probed buckets unless `mode` is ScanMode::kExact.
+  /// maximum wins on ties).
   /// \param query Query HV of the codebook's dimension.
-  /// \param mode Per-call accuracy override (tiered backend only).
   /// \param scanned When non-null, receives the number of similarity
   ///   measurements this call performed — a pure function of (memory,
   ///   query), safe for deterministic per-result accounting where reading
   ///   the shared similarity_ops() counter would race under concurrent
   ///   batch workers.
-  /// \param probes When non-null, receives the tiered coarse-stage bucket
-  ///   count this call probed (TieredItemMemory::ScanStats::probes, summed
-  ///   across shards on the sharded backend) — 0 on every exact route. Like
-  ///   `scanned`, a pure function of (memory, query, mode).
   /// \return Index and similarity (dot / D) of the best entry.
   /// \throws std::invalid_argument On dimension mismatch.
   /// \throws std::out_of_range On an empty codebook.
   [[nodiscard]] Match best(const Hypervector& query,
-                           ScanMode mode = ScanMode::kDefault,
-                           std::uint64_t* scanned = nullptr,
-                           std::uint64_t* probes = nullptr) const;
+                           std::uint64_t* scanned = nullptr) const;
 
   /// Blocked variant of best(): one Match per query, in input order, each
   /// bit-identical (index, similarity, tie order — and the per-query
-  /// measurement count) to the matching best(query, mode) call. When the
-  /// codebook is packed, the scan is an exact full scan (no tier index, or
-  /// `mode` is ScanMode::kExact), and every query's alphabet packs, the
-  /// whole block runs in ONE pass over the codebook planes through
-  /// kernels::QueryBlockKernels — the codebook streams from memory once per
-  /// block instead of once per query. Any other shape (tiered default scans,
-  /// integer-bundle queries, scalar backend) falls back to per-query best(),
-  /// so routing here is purely a performance decision.
+  /// measurement count) to the matching best(query) call. When the codebook
+  /// is packed and every query's alphabet packs, the whole block runs in ONE
+  /// pass over the codebook planes through kernels::QueryBlockKernels — the
+  /// codebook streams from memory once per block instead of once per query.
+  /// Any other shape (integer-bundle queries, scalar backend) falls back to
+  /// per-query best(), so routing here is purely a performance decision.
   /// \param queries Query HVs of the codebook's dimension.
-  /// \param mode Per-call accuracy override (tiered backend only).
   /// \param scanned When non-null, must point at queries.size() entries;
   ///   scanned[q] receives the measurement count of query q (exactly what
   ///   best() would report for it).
-  /// \param probes When non-null, must point at queries.size() entries;
-  ///   probes[q] receives query q's tiered probe count (exactly what best()
-  ///   would report for it; 0 on the one-pass exact block route).
   /// \return One Match per query, in input order.
   /// \throws std::invalid_argument On a dimension mismatch.
   /// \throws std::out_of_range On an empty codebook.
   [[nodiscard]] std::vector<Match> best_block(
       std::span<const Hypervector> queries,
-      ScanMode mode = ScanMode::kDefault,
-      std::uint64_t* scanned = nullptr,
-      std::uint64_t* probes = nullptr) const;
+      std::uint64_t* scanned = nullptr) const;
 
   /// Best match over a subset of indices (used for hierarchy-restricted
   /// searches: "only children of the already-factorized parent item").
@@ -239,20 +158,15 @@ class ItemMemory {
 
   /// All matches with similarity strictly above `threshold`, sorted by
   /// match_order — descending similarity, ascending index on ties (the
-  /// TH-based multi-object candidate selection). On the tiered backend this
-  /// scans only the probed buckets unless `mode` is ScanMode::kExact.
+  /// TH-based multi-object candidate selection).
   /// \param query Query HV of the codebook's dimension.
   /// \param threshold Exclusive similarity lower bound.
-  /// \param mode Per-call accuracy override (tiered backend only).
   /// \param scanned As in best(): deterministic measurement count out-param.
-  /// \param probes As in best(): deterministic tiered probe-count out-param.
   /// \return Possibly empty sorted match list.
   /// \throws std::invalid_argument On dimension mismatch.
   [[nodiscard]] std::vector<Match> above(
       const Hypervector& query, double threshold,
-      ScanMode mode = ScanMode::kDefault,
-      std::uint64_t* scanned = nullptr,
-      std::uint64_t* probes = nullptr) const;
+      std::uint64_t* scanned = nullptr) const;
 
   /// Restricted variant of `above`.
   /// \param query Query HV of the codebook's dimension.
@@ -265,21 +179,15 @@ class ItemMemory {
       const Hypervector& query, double threshold,
       const std::vector<std::size_t>& indices) const;
 
-  /// Top-k matches sorted by match_order; k is clamped to size(). On the
-  /// tiered backend this ranks only the probed buckets' rows unless `mode`
-  /// is ScanMode::kExact.
+  /// Top-k matches sorted by match_order; k is clamped to size().
   /// \param query Query HV of the codebook's dimension.
   /// \param k Maximum number of matches to return.
-  /// \param mode Per-call accuracy override (tiered backend only).
   /// \param scanned As in best(): deterministic measurement count out-param.
-  /// \param probes As in best(): deterministic tiered probe-count out-param.
   /// \return At most min(k, size()) matches in canonical order.
   /// \throws std::invalid_argument On dimension mismatch.
   [[nodiscard]] std::vector<Match> top_k(
       const Hypervector& query, std::size_t k,
-      ScanMode mode = ScanMode::kDefault,
-      std::uint64_t* scanned = nullptr,
-      std::uint64_t* probes = nullptr) const;
+      std::uint64_t* scanned = nullptr) const;
 
   /// Raw integer dot products of the query with every codebook entry — the
   /// batched attention primitive of the resonator/IMC baselines. Counts
@@ -302,17 +210,15 @@ class ItemMemory {
   }
 
   // std::atomic pins down copy/move; counters transfer by value and the
-  // immutable packed planes / tier index are shared between copies.
+  // immutable packed planes are shared between copies.
   ItemMemory(const ItemMemory& other) noexcept
       : codebook_(other.codebook_),
         packed_(other.packed_),
-        tiered_(other.tiered_),
         sharded_(other.sharded_),
         similarity_ops_(other.similarity_ops()) {}
   ItemMemory& operator=(const ItemMemory& other) noexcept {
     codebook_ = other.codebook_;
     packed_ = other.packed_;
-    tiered_ = other.tiered_;
     sharded_ = other.sharded_;
     similarity_ops_.store(other.similarity_ops(), std::memory_order_relaxed);
     return *this;
@@ -327,9 +233,6 @@ class ItemMemory {
   /// Word-plane packing of the codebook; null on the scalar backend. Shared
   /// (immutable after construction) so ItemMemory copies stay cheap.
   std::shared_ptr<const kernels::PackedItemMemory> packed_;
-  /// Two-stage tier index over packed_; null unless backend() is kTiered.
-  /// Shares packed_'s row planes (immutable after construction).
-  std::shared_ptr<const kernels::TieredItemMemory> tiered_;
   /// Scatter-gather partition over packed_; null unless backend() is
   /// kSharded. Shares packed_'s row planes (zero-copy shard views). The
   /// full-codebook scans route here; best_among / above_among / integer-

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "util/env.hpp"
 
@@ -112,30 +113,30 @@ PackedItemMemory::PackedItemMemory(const Codebook& codebook,
   if (layout_ == Layout::kTernary) nonzero_ = owned_nonzero_.data();
 }
 
-PackedItemMemory::PackedItemMemory(Layout layout, std::size_t dim,
-                                   std::size_t size, const std::uint64_t* sign,
-                                   const std::uint64_t* nonzero,
-                                   std::shared_ptr<const void> keepalive,
-                                   std::optional<SimdLevel> level)
-    : size_(size),
-      dim_(dim),
-      words_(plane_words(dim)),
-      level_(level.value_or(dispatched_simd_level())),
-      kernels_(&dot_kernels(level_)),
-      layout_(layout),
-      sign_(sign),
-      nonzero_(nonzero),
-      keepalive_(std::move(keepalive)) {
-  if (size_ == 0 || dim_ == 0) {
-    throw std::invalid_argument("PackedItemMemory: empty plane adoption");
+PackedItemMemory::PackedItemMemory(
+    std::shared_ptr<const PackedItemMemory> full, std::size_t begin,
+    std::size_t count)
+    : size_(count),
+      dim_(full->dim_),
+      words_(full->words_),
+      level_(full->level_),
+      kernels_(full->kernels_),
+      layout_(full->layout_),
+      sign_(full->sign_ + begin * full->words_),
+      nonzero_(full->nonzero_ != nullptr ? full->nonzero_ + begin * full->words_
+                                         : nullptr),
+      parent_(std::move(full)) {}
+
+std::shared_ptr<const PackedItemMemory> PackedItemMemory::slice(
+    std::shared_ptr<const PackedItemMemory> full, std::size_t begin,
+    std::size_t count) {
+  if (full == nullptr || count == 0 || begin > full->size_ ||
+      count > full->size_ - begin) {
+    throw std::invalid_argument("PackedItemMemory::slice: bad row range");
   }
-  if (sign_ == nullptr) {
-    throw std::invalid_argument("PackedItemMemory: null sign plane");
-  }
-  if ((layout_ == Layout::kTernary) != (nonzero_ != nullptr)) {
-    throw std::invalid_argument(
-        "PackedItemMemory: nonzero plane inconsistent with layout");
-  }
+  // The view constructor is private, so std::make_shared cannot reach it.
+  return std::shared_ptr<const PackedItemMemory>(
+      new PackedItemMemory(std::move(full), begin, count));
 }
 
 std::size_t PackedItemMemory::storage_bits() const noexcept {

@@ -45,8 +45,7 @@ namespace factorhd::hdc::kernels {
 
 /// Width of the scan worker pool: FACTORHD_SCAN_THREADS when set (1 disables
 /// threading), else min(hardware threads, 8). Cached on first use. Shared by
-/// the full-codebook scans here and the tiered-index build's assignment
-/// passes (tiered_item_memory.cpp).
+/// the full-codebook scans here and ShardedItemMemory's scatter passes.
 [[nodiscard]] std::size_t scan_pool_width();
 
 /// RAII marker for threads that are themselves workers of an outer pool
@@ -98,28 +97,15 @@ class PackedItemMemory {
   explicit PackedItemMemory(const Codebook& codebook,
                             std::optional<SimdLevel> level = std::nullopt);
 
-  /// Adopts pre-packed planes without copying — the snapshot-load path
-  /// (tiered_snapshot.hpp), where the planes live in an mmap'd file or a
-  /// deserialized buffer owned by `keepalive`.
-  ///
-  /// The planes must be row-major with plane_words(dim) words per row and
-  /// the canonical-tail invariant (bits >= dim in the last word zero); the
-  /// snapshot loader verifies this before constructing. `keepalive` is held
-  /// for the memory's lifetime, so one mapping can back many memories.
-  /// \param layout Plane layout the planes were packed with.
-  /// \param dim Hypervector dimension.
-  /// \param size Number of rows.
-  /// \param sign Row-major sign planes, `size * plane_words(dim)` words.
-  /// \param nonzero Row-major nonzero planes for kTernary layout; must be
-  ///   nullptr for kBipolar.
-  /// \param keepalive Owner of the plane storage (kept alive by this memory).
-  /// \param level As the packing constructor.
-  /// \throws std::invalid_argument On zero size/dim, a null `sign`, or a
-  ///   `nonzero` inconsistent with `layout`.
-  PackedItemMemory(Layout layout, std::size_t dim, std::size_t size,
-                   const std::uint64_t* sign, const std::uint64_t* nonzero,
-                   std::shared_ptr<const void> keepalive,
-                   std::optional<SimdLevel> level = std::nullopt);
+  /// Zero-copy view of rows [begin, begin + count) of `full`: the view's
+  /// row i is `full`'s row begin + i, at the same layout and SIMD tier. The
+  /// view keeps `full` alive. This is how kernels::ShardedItemMemory gives
+  /// each shard its own scan surface over one set of planes.
+  /// \throws std::invalid_argument When `full` is null, `count` is zero, or
+  ///   the range runs past full->size().
+  [[nodiscard]] static std::shared_ptr<const PackedItemMemory> slice(
+      std::shared_ptr<const PackedItemMemory> full, std::size_t begin,
+      std::size_t count);
 
   // The plane pointers alias the owned vectors on the packing path, so the
   // defaulted copies would dangle. Scans share one memory via shared_ptr.
@@ -224,45 +210,6 @@ class PackedItemMemory {
   void dots_block(std::span<const PackedQuery> queries,
                   std::span<std::int64_t> out) const;
 
-  // --- Per-row primitives (the TieredItemMemory candidate-scan surface) ---
-
-  /// Exact integer dot of codebook row `row` with the packed query — the
-  /// same kernel dispatch the full scans use, exposed so the tiered index
-  /// can scan sparse candidate lists without materializing index vectors.
-  /// Preconditions (unchecked, noexcept hot path): `row < size()` and
-  /// `query.dim == dim()`.
-  [[nodiscard]] std::int64_t dot_row(std::size_t row,
-                                     const PackedQuery& query) const noexcept {
-    return row_dot(row, query);
-  }
-
-  /// Read-only view of row `row`'s sign plane: words_per_row() words with
-  /// the canonical-tail invariant. Precondition: `row < size()`.
-  [[nodiscard]] std::span<const std::uint64_t> row_sign(
-      std::size_t row) const noexcept {
-    return {sign_ + row * words_, words_};
-  }
-
-  /// Row `row`'s nonzero plane; the empty span in bipolar layout (where
-  /// every dimension is nonzero). Precondition: `row < size()`.
-  [[nodiscard]] std::span<const std::uint64_t> row_nonzero(
-      std::size_t row) const noexcept {
-    if (layout_ == Layout::kBipolar) return {};
-    return {nonzero_ + row * words_, words_};
-  }
-
-  /// The whole contiguous sign plane: size() * words_per_row() words. Used
-  /// by the snapshot writer and the snapshot-adoption plane comparison.
-  [[nodiscard]] std::span<const std::uint64_t> sign_plane() const noexcept {
-    return {sign_, size_ * words_};
-  }
-
-  /// The whole contiguous nonzero plane; empty in bipolar layout.
-  [[nodiscard]] std::span<const std::uint64_t> nonzero_plane() const noexcept {
-    if (layout_ == Layout::kBipolar) return {};
-    return {nonzero_, size_ * words_};
-  }
-
   // --- Convenience overloads that pack the query internally ---------------
   // Each packs `query` once and forwards to the PackedQuery overload.
   // \throws std::invalid_argument when `query` is not bipolar/ternary (use
@@ -281,6 +228,10 @@ class PackedItemMemory {
   void dots(const Hypervector& query, std::span<std::int64_t> out) const;
 
  private:
+  /// The slice() view constructor.
+  PackedItemMemory(std::shared_ptr<const PackedItemMemory> full,
+                   std::size_t begin, std::size_t count);
+
   /// Query block regrouped by alphabet for the QueryBlockKernels loop nest:
   /// one plane-pointer array per alphabet plus the original query index of
   /// each subgroup entry, so reductions map kernel output back to query
@@ -327,16 +278,15 @@ class PackedItemMemory {
   const DotKernels* kernels_ = nullptr;
   Layout layout_ = Layout::kBipolar;
   /// Row-major sign planes: sign_[row * words_ + w]. Points into owned_sign_
-  /// on the packing path, or into `keepalive_`-owned storage (an mmap'd
-  /// snapshot or a deserialized buffer) on the adoption path.
+  /// on the packing path, or into parent_'s planes on a slice() view.
   const std::uint64_t* sign_ = nullptr;
   /// Row-major nonzero planes; nullptr in bipolar layout.
   const std::uint64_t* nonzero_ = nullptr;
-  /// Plane storage built by the packing constructor (empty when adopted).
+  /// Plane storage built by the packing constructor (empty on a view).
   std::vector<std::uint64_t> owned_sign_;
   std::vector<std::uint64_t> owned_nonzero_;
-  /// Owner of adopted plane storage; null on the packing path.
-  std::shared_ptr<const void> keepalive_;
+  /// Owner of a view's planes; null on the packing path.
+  std::shared_ptr<const PackedItemMemory> parent_;
 };
 
 }  // namespace factorhd::hdc::kernels

@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "hdc/kernels/tiered_snapshot.hpp"
 #include "util/env.hpp"
 
 namespace factorhd::hdc::kernels {
@@ -23,37 +22,6 @@ constexpr std::size_t parallel_scatter_min_words(SimdLevel level) noexcept {
                                           : (std::size_t{1} << 20);
 }
 
-/// True when `snap`'s row memory is bit-identical to the shard view `view`
-/// (geometry, SIMD tier, and both planes) — the precondition for adopting a
-/// loaded per-shard snapshot in place of a fresh build.
-bool snapshot_matches_shard(const TieredItemMemory& snap,
-                            const PackedItemMemory& view) {
-  const PackedItemMemory& rows = snap.rows();
-  if (rows.layout() != view.layout() || rows.dim() != view.dim() ||
-      rows.size() != view.size() || rows.simd_level() != view.simd_level()) {
-    return false;
-  }
-  const auto a_sign = rows.sign_plane();
-  const auto b_sign = view.sign_plane();
-  if (!std::equal(a_sign.begin(), a_sign.end(), b_sign.begin(),
-                  b_sign.end())) {
-    return false;
-  }
-  const auto a_nz = rows.nonzero_plane();
-  const auto b_nz = view.nonzero_plane();
-  return std::equal(a_nz.begin(), a_nz.end(), b_nz.begin(), b_nz.end());
-}
-
-void accumulate(TieredItemMemory::ScanStats* into,
-                std::span<const TieredItemMemory::ScanStats> parts) {
-  if (into == nullptr) return;
-  for (const auto& p : parts) {
-    into->centroid_dots += p.centroid_dots;
-    into->row_dots += p.row_dots;
-    into->probes += p.probes;
-  }
-}
-
 }  // namespace
 
 ShardedConfig sharded_config_from_env() {
@@ -68,8 +36,7 @@ std::size_t sharded_auto_min_rows() {
 }
 
 ShardedItemMemory::ShardedItemMemory(
-    std::shared_ptr<const PackedItemMemory> rows, ShardedConfig config,
-    std::span<const std::shared_ptr<const TieredItemMemory>> snapshots)
+    std::shared_ptr<const PackedItemMemory> rows, ShardedConfig config)
     : full_(std::move(rows)) {
   if (full_ == nullptr) {
     throw std::invalid_argument("ShardedItemMemory: null row memory");
@@ -78,55 +45,20 @@ ShardedItemMemory::ShardedItemMemory(
   std::size_t n = config.shards > 0 ? config.shards
                                     : sharded_config_from_env().shards;
   n = std::clamp<std::size_t>(n, 1, total);
-  if (!snapshots.empty() && snapshots.size() != n) {
-    throw std::invalid_argument(
-        "ShardedItemMemory: snapshot count does not match shard count");
-  }
 
   // Balanced contiguous partition: the first `total % n` shards get one
   // extra row, so shard sizes differ by at most one and the mapping from
   // global row to (shard, local row) is a pure function of (total, n).
   const std::size_t base = total / n;
   const std::size_t rem = total % n;
-  const std::size_t words = full_->words_per_row();
-  const std::uint64_t* sign = full_->sign_plane().data();
-  const std::uint64_t* nonzero =
-      full_->layout() == PackedItemMemory::Layout::kTernary
-          ? full_->nonzero_plane().data()
-          : nullptr;
   shards_.reserve(n);
   std::size_t begin = 0;
   for (std::size_t s = 0; s < n; ++s) {
     const std::size_t size = base + (s < rem ? 1 : 0);
-    Shard shard;
-    shard.begin = begin;
-    shard.rows = std::make_shared<PackedItemMemory>(
-        full_->layout(), full_->dim(), size, sign + begin * words,
-        nonzero != nullptr ? nonzero + begin * words : nullptr, full_,
-        full_->simd_level());
-    if (!snapshots.empty() && snapshots[s] != nullptr &&
-        snapshot_matches_shard(*snapshots[s], *shard.rows)) {
-      // Adopt: the snapshot's row memory backs both scan stages (typically
-      // an mmap'd FTS1 file), and the freshly built slice view is dropped.
-      shard.rows = snapshots[s]->shared_rows();
-      shard.tier = snapshots[s];
-      ++snapshots_adopted_;
-    } else {
-      if (!snapshots.empty()) ++snapshots_rejected_;
-      if (config.tiered.has_value()) {
-        shard.tier =
-            std::make_shared<TieredItemMemory>(shard.rows, *config.tiered);
-      }
-    }
-    shards_.push_back(std::move(shard));
+    shards_.push_back({begin, PackedItemMemory::slice(full_, begin, size)});
     begin += size;
   }
 
-  tiered_ = std::all_of(shards_.begin(), shards_.end(),
-                        [](const Shard& s) { return s.tier != nullptr; });
-  exact_ = std::all_of(shards_.begin(), shards_.end(), [](const Shard& s) {
-    return s.tier == nullptr || s.tier->exact();
-  });
   shard_scans_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   shard_rows_scanned_ = std::make_unique<std::atomic<std::uint64_t>[]>(n);
   for (std::size_t s = 0; s < n; ++s) {
@@ -213,25 +145,14 @@ void ShardedItemMemory::require_query(const PackedQuery& query) const {
   }
 }
 
-Match ShardedItemMemory::best(const PackedQuery& query, bool exact,
-                              TieredItemMemory::ScanStats* stats) const {
+Match ShardedItemMemory::best(const PackedQuery& query) const {
   require_query(query);
   const std::size_t n = shards_.size();
   std::vector<Match> local(n);
-  // Per-shard stats are collected unconditionally: the per-shard counters
-  // charge each shard with its scan cost whether or not the caller asked
-  // for aggregate stats.
-  std::vector<TieredItemMemory::ScanStats> st(n);
   for_each_shard([&](std::size_t s) {
     const Shard& sh = shards_[s];
-    Match m;
-    if (!exact && sh.tier != nullptr) {
-      m = sh.tier->best(query, &st[s]);
-    } else {
-      m = sh.rows->best(query);
-      st[s].row_dots += sh.rows->size();
-    }
-    note_shard_scan(s, st[s].centroid_dots + st[s].row_dots);
+    Match m = sh.rows->best(query);
+    note_shard_scan(s, sh.rows->size());
     m.index += sh.begin;
     local[s] = m;
   });
@@ -243,26 +164,18 @@ Match ShardedItemMemory::best(const PackedQuery& query, bool exact,
   for (std::size_t s = 1; s < n; ++s) {
     if (local[s].similarity > out.similarity) out = local[s];
   }
-  accumulate(stats, st);
   return out;
 }
 
-std::vector<Match> ShardedItemMemory::above(
-    const PackedQuery& query, double threshold, bool exact,
-    TieredItemMemory::ScanStats* stats) const {
+std::vector<Match> ShardedItemMemory::above(const PackedQuery& query,
+                                            double threshold) const {
   require_query(query);
   const std::size_t n = shards_.size();
   std::vector<std::vector<Match>> local(n);
-  std::vector<TieredItemMemory::ScanStats> st(n);
   for_each_shard([&](std::size_t s) {
     const Shard& sh = shards_[s];
-    if (!exact && sh.tier != nullptr) {
-      local[s] = sh.tier->above(query, threshold, &st[s]);
-    } else {
-      local[s] = sh.rows->above(query, threshold);
-      st[s].row_dots += sh.rows->size();
-    }
-    note_shard_scan(s, st[s].centroid_dots + st[s].row_dots);
+    local[s] = sh.rows->above(query, threshold);
+    note_shard_scan(s, sh.rows->size());
     for (Match& m : local[s]) m.index += sh.begin;
   });
   std::vector<Match> out;
@@ -272,28 +185,20 @@ std::vector<Match> ShardedItemMemory::above(
   // hdc::match_order is a strict total order over distinct indices, so one
   // global sort reproduces the unsharded ordering exactly.
   std::sort(out.begin(), out.end(), match_order);
-  accumulate(stats, st);
   return out;
 }
 
-std::vector<Match> ShardedItemMemory::top_k(
-    const PackedQuery& query, std::size_t k, bool exact,
-    TieredItemMemory::ScanStats* stats) const {
+std::vector<Match> ShardedItemMemory::top_k(const PackedQuery& query,
+                                            std::size_t k) const {
   require_query(query);
   if (k == 0) return {};
   const std::size_t kk = std::min(k, full_->size());
   const std::size_t n = shards_.size();
   std::vector<std::vector<Match>> local(n);
-  std::vector<TieredItemMemory::ScanStats> st(n);
   for_each_shard([&](std::size_t s) {
     const Shard& sh = shards_[s];
-    if (!exact && sh.tier != nullptr) {
-      local[s] = sh.tier->top_k(query, kk, &st[s]);
-    } else {
-      local[s] = sh.rows->top_k(query, kk);
-      st[s].row_dots += sh.rows->size();
-    }
-    note_shard_scan(s, st[s].centroid_dots + st[s].row_dots);
+    local[s] = sh.rows->top_k(query, kk);
+    note_shard_scan(s, sh.rows->size());
     for (Match& m : local[s]) m.index += sh.begin;
   });
   // Sound merge: any row of the global top-k is by definition in its own
@@ -305,7 +210,6 @@ std::vector<Match> ShardedItemMemory::top_k(
   }
   std::sort(out.begin(), out.end(), match_order);
   if (out.size() > kk) out.resize(kk);
-  accumulate(stats, st);
   return out;
 }
 
@@ -323,24 +227,15 @@ void ShardedItemMemory::dots(const PackedQuery& query,
 }
 
 std::vector<Match> ShardedItemMemory::best_block(
-    std::span<const PackedQuery> queries, bool exact) const {
+    std::span<const PackedQuery> queries) const {
   for (const PackedQuery& q : queries) require_query(q);
   if (queries.empty()) return {};
   const std::size_t n = shards_.size();
   std::vector<std::vector<Match>> local(n);
   for_each_shard([&](std::size_t s) {
     const Shard& sh = shards_[s];
-    if (!exact && sh.tier != nullptr) {
-      TieredItemMemory::ScanStats st;
-      local[s].reserve(queries.size());
-      for (const PackedQuery& q : queries) {
-        local[s].push_back(sh.tier->best(q, &st));
-      }
-      note_shard_scan(s, st.centroid_dots + st.row_dots);
-    } else {
-      local[s] = sh.rows->best_block(queries);
-      note_shard_scan(s, queries.size() * sh.rows->size());
-    }
+    local[s] = sh.rows->best_block(queries);
+    note_shard_scan(s, queries.size() * sh.rows->size());
     for (Match& m : local[s]) m.index += sh.begin;
   });
   std::vector<Match> out = std::move(local[0]);
@@ -353,7 +248,7 @@ std::vector<Match> ShardedItemMemory::best_block(
 }
 
 std::vector<std::vector<Match>> ShardedItemMemory::top_k_block(
-    std::span<const PackedQuery> queries, std::size_t k, bool exact) const {
+    std::span<const PackedQuery> queries, std::size_t k) const {
   for (const PackedQuery& q : queries) require_query(q);
   if (queries.empty()) return {};
   if (k == 0) return std::vector<std::vector<Match>>(queries.size());
@@ -362,17 +257,8 @@ std::vector<std::vector<Match>> ShardedItemMemory::top_k_block(
   std::vector<std::vector<std::vector<Match>>> local(n);
   for_each_shard([&](std::size_t s) {
     const Shard& sh = shards_[s];
-    if (!exact && sh.tier != nullptr) {
-      TieredItemMemory::ScanStats st;
-      local[s].reserve(queries.size());
-      for (const PackedQuery& q : queries) {
-        local[s].push_back(sh.tier->top_k(q, kk, &st));
-      }
-      note_shard_scan(s, st.centroid_dots + st.row_dots);
-    } else {
-      local[s] = sh.rows->top_k_block(queries, kk);
-      note_shard_scan(s, queries.size() * sh.rows->size());
-    }
+    local[s] = sh.rows->top_k_block(queries, kk);
+    note_shard_scan(s, queries.size() * sh.rows->size());
     for (auto& per_query : local[s]) {
       for (Match& m : per_query) m.index += sh.begin;
     }
@@ -409,36 +295,6 @@ void ShardedItemMemory::dots_block(std::span<const PackedQuery> queries,
                   out.data() + q * total + sh.begin);
     }
   });
-}
-
-std::string sharded_shard_path(const std::string& path_prefix,
-                               std::size_t shard) {
-  return path_prefix + ".shard" + std::to_string(shard);
-}
-
-void save_sharded_index(const std::string& path_prefix,
-                        const ShardedItemMemory& memory) {
-  for (std::size_t s = 0; s < memory.shards(); ++s) {
-    if (memory.shard_tier(s) == nullptr) {
-      throw std::invalid_argument(
-          "save_sharded_index: shard has no tier index to persist");
-    }
-  }
-  for (std::size_t s = 0; s < memory.shards(); ++s) {
-    save_tiered_index(sharded_shard_path(path_prefix, s),
-                      *memory.shard_tier(s));
-  }
-}
-
-std::vector<std::shared_ptr<const TieredItemMemory>> load_sharded_index(
-    const std::string& path_prefix, std::size_t shards,
-    std::optional<SimdLevel> level) {
-  std::vector<std::shared_ptr<const TieredItemMemory>> out;
-  out.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    out.push_back(load_tiered_index(sharded_shard_path(path_prefix, s), level));
-  }
-  return out;
 }
 
 }  // namespace factorhd::hdc::kernels

@@ -1,16 +1,13 @@
 // ShardedItemMemory: scatter-gather scans over a row-partitioned codebook.
 //
-// TieredItemMemory removed the O(M) per-query wall, but one index is still
-// one build, one snapshot, and one scan pool — the single-node ceiling named
-// in ROADMAP item 2. This class partitions a packed codebook into N shards
-// by contiguous row range, gives each shard its own (optional) tiered index,
-// scatters every scan across the shards, and gathers the per-shard results
-// into one globally-indexed answer:
+// This class partitions a packed codebook into N shards by contiguous row
+// range, scatters every scan across the shards, and gathers the per-shard
+// results into one globally-indexed answer:
 //
 //   partition:  shard s owns rows [begin_s, begin_s + size_s), a balanced
 //               contiguous split (sizes differ by at most one row). Each
-//               shard's row memory is a zero-copy plane adoption of the full
-//               packed memory — one set of planes, N views.
+//               shard's row memory is a zero-copy PackedItemMemory::slice()
+//               of the full packed memory — one set of planes, N views.
 //   scatter:    the shard scans run on the existing scan pool
 //               (FACTORHD_SCAN_THREADS) when the codebook is large enough,
 //               each worker under a ScanNestingGuard so thread counts never
@@ -24,15 +21,13 @@
 //               similarity doubles (dot / D with D well under 2^53), so
 //               merging on the similarity field is tie-exact.
 //
-// Bit-identity contract: with exact shard scans (no tiers, exact() tiers, or
-// the exact flag) every surface — best / above / top_k / dots and the
+// Bit-identity contract: every surface — best / above / top_k / dots and the
 // blocked *_block variants — returns bit-identical results (index,
 // similarity, ordering) to the unsharded PackedItemMemory scan at every
 // shard count, SIMD tier, and thread count, including N > M and N not
 // dividing M. tests/test_kernel_fuzz.cpp asserts this differentially across
 // a shard axis; tests/test_sharded_memory.cpp pins the merge tie rules on
-// adversarially tied codebooks. Tiered shards keep the tiered verification
-// bound: approximation can only miss rows, never mis-rank scanned rows.
+// adversarially tied codebooks.
 //
 // best_among / above_among are intentionally absent: their contract keeps
 // the caller's index order (first maximum in the *given* order), which a
@@ -44,15 +39,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "hdc/kernels/packed_item_memory.hpp"
 #include "hdc/kernels/plane.hpp"
 #include "hdc/kernels/simd.hpp"
-#include "hdc/kernels/tiered_item_memory.hpp"
 #include "hdc/match.hpp"
 
 namespace factorhd::hdc::kernels {
@@ -63,11 +55,6 @@ namespace factorhd::hdc::kernels {
 struct ShardedConfig {
   /// Shard count N; 0 = auto: the FACTORHD_SHARDS env knob (default 1).
   std::size_t shards = 0;
-  /// When set, each shard builds its own TieredItemMemory over its row
-  /// range (zeros in the config resolve per *shard* row count, so the
-  /// auto cluster counts scale with the partition, not the full codebook).
-  /// Unset shards scan exact.
-  std::optional<TieredConfig> tiered = std::nullopt;
 
   bool operator==(const ShardedConfig&) const = default;
 };
@@ -87,19 +74,10 @@ class ShardedItemMemory {
  public:
   /// Partitions `rows` into the configured shard count.
   /// \param rows Packed codebook rows (non-null); shared, immutable.
-  /// \param config Shard count + optional per-shard tier configuration.
-  /// \param snapshots Optional prebuilt per-shard tier indexes (the FTS1
-  ///   load path, see load_sharded_index()): either empty or exactly one
-  ///   entry per resolved shard, in shard order. Each offered snapshot is
-  ///   adopted only after its geometry and row planes are verified
-  ///   bit-identical to the shard's slice of `rows`; mismatches fall back
-  ///   to a fresh build (when `config.tiered` is set) and are counted in
-  ///   snapshots_rejected().
-  /// \throws std::invalid_argument When `rows` is null or `snapshots` is
-  ///   non-empty with the wrong length.
-  explicit ShardedItemMemory(
-      std::shared_ptr<const PackedItemMemory> rows, ShardedConfig config = {},
-      std::span<const std::shared_ptr<const TieredItemMemory>> snapshots = {});
+  /// \param config Shard count.
+  /// \throws std::invalid_argument When `rows` is null.
+  explicit ShardedItemMemory(std::shared_ptr<const PackedItemMemory> rows,
+                             ShardedConfig config = {});
 
   [[nodiscard]] std::size_t size() const noexcept { return full_->size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return full_->dim(); }
@@ -118,21 +96,6 @@ class ShardedItemMemory {
       const noexcept {
     return *shards_[s].rows;
   }
-  /// \return Shard `s`'s tier index, or nullptr when the shard scans exact.
-  [[nodiscard]] const TieredItemMemory* shard_tier(std::size_t s)
-      const noexcept {
-    return shards_[s].tier.get();
-  }
-  /// \return Shared handle to shard `s`'s tier (the snapshot writer's view).
-  [[nodiscard]] std::shared_ptr<const TieredItemMemory> shared_shard_tier(
-      std::size_t s) const noexcept {
-    return shards_[s].tier;
-  }
-  /// \return True when every shard carries a tier index.
-  [[nodiscard]] bool tiered_shards() const noexcept { return tiered_; }
-  /// \return True when every scan is exact: no shard tiers, or every shard
-  ///   tier probes all of its clusters.
-  [[nodiscard]] bool exact() const noexcept { return exact_; }
   /// \return The SIMD tier all shards scan at (the full memory's tier).
   [[nodiscard]] SimdLevel simd_level() const noexcept {
     return full_->simd_level();
@@ -146,20 +109,12 @@ class ShardedItemMemory {
       const noexcept {
     return full_;
   }
-  /// \return Offered per-shard snapshots adopted / rejected at construction.
-  [[nodiscard]] std::size_t snapshots_adopted() const noexcept {
-    return snapshots_adopted_;
-  }
-  [[nodiscard]] std::size_t snapshots_rejected() const noexcept {
-    return snapshots_rejected_;
-  }
-
   // --- Per-shard scan accounting -------------------------------------------
   // Every scatter pass charges each shard's relaxed-atomic counters with the
-  // work it did there (centroid dots + row dots on tiered shards, the full
-  // slice on exact ones) — the observability surface that makes hot shards
-  // visible (service::Metrics exports it). Mutable bookkeeping, never
-  // synchronizing: recording is wait-free and results are unaffected.
+  // work it did there (its full slice of rows) — the observability surface
+  // that makes hot shards visible (service::Metrics exports it). Mutable
+  // bookkeeping, never synchronizing: recording is wait-free and results
+  // are unaffected.
 
   /// \return Scatter passes over each shard since construction (one entry
   ///   per shard; blocked scans count one pass per shard per block).
@@ -169,44 +124,38 @@ class ShardedItemMemory {
   [[nodiscard]] std::vector<std::uint64_t> shard_rows_scanned() const;
 
   // --- Scatter-gather scans ------------------------------------------------
-  // `exact` forces the per-shard packed full scan even on tiered shards
-  // (hdc::ScanMode::kExact); stats (when non-null) accumulate the summed
-  // per-shard costs. All methods throw std::invalid_argument on a query
-  // dimension mismatch.
+  // Every scan measures each row exactly once. All methods throw
+  // std::invalid_argument on a query dimension mismatch.
 
   /// Argmax over all shards; first (lowest global index) maximum wins.
-  [[nodiscard]] Match best(const PackedQuery& query, bool exact = false,
-                           TieredItemMemory::ScanStats* stats = nullptr) const;
+  [[nodiscard]] Match best(const PackedQuery& query) const;
 
   /// Matches above `threshold` across all shards, sorted by hdc::match_order.
-  [[nodiscard]] std::vector<Match> above(
-      const PackedQuery& query, double threshold, bool exact = false,
-      TieredItemMemory::ScanStats* stats = nullptr) const;
+  [[nodiscard]] std::vector<Match> above(const PackedQuery& query,
+                                         double threshold) const;
 
   /// Global top-k across all shards, sorted by hdc::match_order; k is
   /// clamped to size(). Sound because any global top-k row is in its own
   /// shard's local top-k.
-  [[nodiscard]] std::vector<Match> top_k(
-      const PackedQuery& query, std::size_t k, bool exact = false,
-      TieredItemMemory::ScanStats* stats = nullptr) const;
+  [[nodiscard]] std::vector<Match> top_k(const PackedQuery& query,
+                                         std::size_t k) const;
 
-  /// Raw integer dots with every row, globally indexed (always exact).
+  /// Raw integer dots with every row, globally indexed.
   /// \param out Destination; `out.size()` must equal size().
   void dots(const PackedQuery& query, std::span<std::int64_t> out) const;
 
   // --- Blocked scatter-gather (the micro-batch hot path) -------------------
-  // Exact blocks run each shard's QueryBlockKernels pass (planes stream once
-  // per shard row block for the whole query block); tiered blocks scan per
-  // query per shard. Results are bit-identical to the per-query overloads.
+  // Each shard runs its QueryBlockKernels pass (planes stream once per shard
+  // row block for the whole query block). Results are bit-identical to the
+  // per-query overloads.
 
   /// best() for every query of the block, in query order.
   [[nodiscard]] std::vector<Match> best_block(
-      std::span<const PackedQuery> queries, bool exact = false) const;
+      std::span<const PackedQuery> queries) const;
 
   /// top_k() for every query of the block; k clamped to size().
   [[nodiscard]] std::vector<std::vector<Match>> top_k_block(
-      std::span<const PackedQuery> queries, std::size_t k,
-      bool exact = false) const;
+      std::span<const PackedQuery> queries, std::size_t k) const;
 
   /// dots() for every query of the block, query-major:
   /// out[q * size() + row]. `out.size()` must equal queries.size() * size().
@@ -218,7 +167,6 @@ class ShardedItemMemory {
   struct Shard {
     std::size_t begin = 0;
     std::shared_ptr<const PackedItemMemory> rows;  ///< zero-copy slice view
-    std::shared_ptr<const TieredItemMemory> tier;  ///< null = exact shard
   };
 
   /// Runs `fn(shard_index)` for every shard — in ascending order when the
@@ -239,40 +187,10 @@ class ShardedItemMemory {
 
   std::shared_ptr<const PackedItemMemory> full_;
   std::vector<Shard> shards_;
-  bool tiered_ = false;
-  bool exact_ = true;
-  std::size_t snapshots_adopted_ = 0;
-  std::size_t snapshots_rejected_ = 0;
   /// Per-shard scan accounting (see shard_scans()); sized shards() at
   /// construction, address-stable, mutated relaxed from const scans.
   mutable std::unique_ptr<std::atomic<std::uint64_t>[]> shard_scans_;
   mutable std::unique_ptr<std::atomic<std::uint64_t>[]> shard_rows_scanned_;
 };
-
-// --- Per-shard FTS1 snapshots ----------------------------------------------
-// A sharded index persists as one FTS1 file per tiered shard, named
-// sharded_shard_path(prefix, s) = "<prefix>.shard<s>" — each file is an
-// ordinary tiered snapshot (digest-verified, mmap-loadable), so shard files
-// can be built, copied, and verified independently.
-
-/// \return Path of shard `shard`'s snapshot under `path_prefix`.
-[[nodiscard]] std::string sharded_shard_path(const std::string& path_prefix,
-                                             std::size_t shard);
-
-/// Writes one FTS1 snapshot per shard of `memory` (overwrites).
-/// \throws std::invalid_argument When `memory` has untiered shards (exact
-///   shards have no index to persist).
-/// \throws std::runtime_error When a file cannot be created or written.
-void save_sharded_index(const std::string& path_prefix,
-                        const ShardedItemMemory& memory);
-
-/// Loads `shards` per-shard snapshots saved by save_sharded_index(), in
-/// shard order — the `snapshots` argument of the ShardedItemMemory
-/// constructor, which verifies each against the codebook before adopting.
-/// \param level SIMD tier for the loaded memories (default: dispatched).
-/// \throws std::runtime_error On any missing, truncated, or corrupt file.
-[[nodiscard]] std::vector<std::shared_ptr<const TieredItemMemory>>
-load_sharded_index(const std::string& path_prefix, std::size_t shards,
-                   std::optional<SimdLevel> level = std::nullopt);
 
 }  // namespace factorhd::hdc::kernels

@@ -105,8 +105,6 @@ void batch_bt_scalar(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
   }
 }
 
-constexpr BatchDotKernels kScalarBatchKernels{batch_bb_scalar, batch_bt_scalar};
-
 // Query-block tier reference: the per-query batch loops applied in query
 // order. Every blocked loop nest must reproduce these integers exactly.
 
@@ -381,7 +379,6 @@ __attribute__((target("avx2"))) void batch_bt_avx2(
 
 constexpr DotKernels kAVX2Kernels{dot_bb_avx2, dot_bt_avx2, dot_tt_avx2,
                                   pack_planes_avx2};
-constexpr BatchDotKernels kAVX2BatchKernels{batch_bb_avx2, batch_bt_avx2};
 
 // Blocked loops: cache blocking only. A 64-row chunk (up to 64 KiB of
 // planes at D=8192) stays L1/L2-resident while every query of the block
@@ -731,8 +728,6 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void batch_bt_avx512(
 
 constexpr DotKernels kAVX512Kernels{dot_bb_avx512, dot_bt_avx512,
                                     dot_tt_avx512, pack_planes_avx512};
-constexpr BatchDotKernels kAVX512BatchKernels{batch_bb_avx512,
-                                              batch_bt_avx512};
 
 // Blocked loops: 2-query x 8-row register tile. Each 8-row block's plane
 // words are loaded once per query pair and shared by both queries' popcount
@@ -1067,8 +1062,6 @@ void batch_bt_neon(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
   }
 }
 
-constexpr BatchDotKernels kNEONBatchKernels{batch_bb_neon, batch_bt_neon};
-
 // Blocked loops: cache blocking over 64-row chunks, as in the AVX2 tier —
 // the per-query NEON batch loops run unchanged within each chunk.
 
@@ -1195,25 +1188,6 @@ const DotKernels& dot_kernels(SimdLevel level) noexcept {
       // Level not compiled into this binary; callers that must not degrade
       // check simd_level_available() first (hdc::ItemMemory throws).
       return kScalarKernels;
-  }
-}
-
-const BatchDotKernels& batch_dot_kernels(SimdLevel level) noexcept {
-  switch (level) {
-    case SimdLevel::kScalarWords:
-      return kScalarBatchKernels;
-#if FACTORHD_X86_SIMD
-    case SimdLevel::kAVX2:
-      return kAVX2BatchKernels;
-    case SimdLevel::kAVX512:
-      return kAVX512BatchKernels;
-#endif
-#if FACTORHD_NEON_SIMD
-    case SimdLevel::kNEON:
-      return kNEONBatchKernels;
-#endif
-    default:
-      return kScalarBatchKernels;  // same aliasing rule as dot_kernels()
   }
 }
 

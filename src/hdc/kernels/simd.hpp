@@ -108,46 +108,21 @@ struct DotKernels {
 /// \return The tier's kernel set (static storage, never null).
 [[nodiscard]] const DotKernels& dot_kernels(SimdLevel level) noexcept;
 
-/// Batched one-query-against-many-rows dot kernels over a contiguous
-/// row-major plane buffer (`count` rows of `words` words each). The
-/// DotKernels entries are tuned for long single dots; a k-means screen needs
-/// thousands of *short* prefix dots per row, where the per-call cost
-/// (indirect call, prologue, horizontal reduction) rivals the popcounts
-/// themselves. These loops keep the query resident and amortize that
-/// overhead across the whole batch. Results are the exact same integers as
-/// calling the matching DotKernels entry per row — bit-identical across
-/// levels (tests/test_kernel_equivalence.cpp pins this).
-struct BatchDotKernels {
-  /// out[i] = bipolar×bipolar dot of `query` against row i
-  /// (= dim - 2 * hamming over `words` canonical-tail words).
-  void (*bipolar_rows)(const std::uint64_t* query, const std::uint64_t* rows,
-                       std::size_t count, std::size_t words, std::size_t dim,
-                       std::int64_t* out) noexcept;
-  /// out[i] = dot of a ternary (nonzero, sign) query against bipolar row i.
-  void (*ternary_rows)(const std::uint64_t* q_nz, const std::uint64_t* q_sg,
-                       const std::uint64_t* rows, std::size_t count,
-                       std::size_t words, std::int64_t* out) noexcept;
-};
-
-/// Batch kernel table for `level`; same aliasing rule as dot_kernels().
-[[nodiscard]] const BatchDotKernels& batch_dot_kernels(
-    SimdLevel level) noexcept;
-
 /// Multi-query blocked scan kernels: Q queries against a contiguous
 /// row-major bipolar plane buffer in ONE pass over the rows, GEMM-style.
 ///
-/// The single-query batch loops above re-stream the whole codebook from
-/// memory for every query in a micro-batch; once the planes spill L2 that
-/// stream dominates the scan. These kernels invert the loop nest — row
+/// A per-query scan re-streams the whole codebook from memory for every
+/// query in a micro-batch; once the planes spill L2 that stream dominates
+/// the scan. These kernels invert the loop nest — row
 /// blocks stay register/L1-resident while every query visits them — so a
 /// grouped batch pays the codebook memory traffic once per block instead of
 /// once per query. Queries are passed as a pointer array (one plane pointer
 /// per query, each `words` long with canonical tails); results land
 /// query-major: out[q * count + i] = dot(query q, row i).
 ///
-/// Every tier computes the exact same integers as calling the matching
-/// BatchDotKernels entry per query — bit-identical across levels and block
-/// sizes (tests/test_kernel_fuzz.cpp pins blocked == per-query per tier).
+/// Every tier computes the exact same integers as the matching DotKernels
+/// entry per (query, row) — bit-identical across levels and block sizes
+/// (tests/test_kernel_fuzz.cpp pins blocked == per-query per tier).
 struct QueryBlockKernels {
   /// out[q * count + i] = bipolar×bipolar dot of queries[q] against row i.
   void (*bipolar_rows)(const std::uint64_t* const* queries, std::size_t nq,

@@ -243,7 +243,6 @@ std::vector<std::uint8_t> encode_factorize_request(const FactorizeRequest& req) 
   PayloadWriter w;
   const core::FactorizeOptions& o = req.opts;
   w.put_u8(o.multi_object ? 1 : 0);
-  w.put_u8(o.exact_scan ? 1 : 0);
   w.put_u8(o.collect_trace ? 1 : 0);
   w.put_f64(o.threshold);
   w.put_u64(o.num_objects_hint);
@@ -267,7 +266,6 @@ FactorizeRequest decode_factorize_request(
   FactorizeRequest req;
   core::FactorizeOptions& o = req.opts;
   o.multi_object = r.get_u8() != 0;
-  o.exact_scan = r.get_u8() != 0;
   o.collect_trace = r.get_u8() != 0;
   o.threshold = r.get_f64();
   o.num_objects_hint = static_cast<std::size_t>(r.get_u64());
@@ -377,8 +375,6 @@ std::vector<std::uint8_t> encode_result(const core::FactorizeResult& result,
   PayloadWriter w;
   w.put_u64(result.similarity_ops);
   w.put_u64(result.combinations_checked);
-  w.put_u64(result.exact_rescans);
-  w.put_u64(result.probes);
   w.put_u64(result.rounds);
   w.put_u8(result.converged ? 1 : 0);
   w.put_u32(static_cast<std::uint32_t>(result.trace.size()));
@@ -397,8 +393,6 @@ core::FactorizeResult decode_result(
   core::FactorizeResult result;
   result.similarity_ops = r.get_u64();
   result.combinations_checked = r.get_u64();
-  result.exact_rescans = r.get_u64();
-  result.probes = r.get_u64();
   result.rounds = r.get_u64();
   result.converged = r.get_u8() != 0;
   const std::uint32_t num_rounds = r.get_u32();

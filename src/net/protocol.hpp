@@ -17,6 +17,19 @@
 //   20      4     payload checksum (FNV-1a 32 over the payload bytes)
 //   24      ...   payload
 //
+// The two payloads that carry a factorization, in field order:
+//
+//   kFactorize  u8 multi_object, u8 collect_trace, f64 threshold,
+//               u64 num_objects_hint, u64 max_objects, u64 max_depth,
+//               u64 max_candidates_per_class, u32 n + u32[n] selected
+//               classes, u32 deadline_hint_us, u32 dim + i32[dim] target
+//   kResult     u64 similarity_ops, u64 combinations_checked, u64 rounds,
+//               u8 converged, u32 n + n round traces, u32 object count,
+//               then the objects inline unless kFlagStreamed
+//
+// Client and server are built from the same tree, so a payload change
+// ships to both ends at once.
+//
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // pattern (std::bit_cast), so a factorization result decoded from the wire
 // is bit-identical to the in-process one — the property the differential

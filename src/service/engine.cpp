@@ -134,8 +134,6 @@ void FactorizationEngine::submit(hdc::Hypervector target,
       t.cache_hit = true;
       t.shards = model_->factorizer().shards();
       t.rows_scanned = hit->similarity_ops;
-      t.probes = hit->probes;
-      t.exact_rescans = hit->exact_rescans;
       t.rounds = hit->rounds;
       trace_ring_.record(t);
     }
@@ -326,8 +324,6 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
         t.batch_size = static_cast<std::uint32_t>(group.size());
         t.shards = model_->factorizer().shards();
         t.rows_scanned = result.similarity_ops;
-        t.probes = result.probes;
-        t.exact_rescans = result.exact_rescans;
         t.rounds = result.rounds;
         slow_log_.observe(t);
         if (r.traced) trace_ring_.record(t);
@@ -388,14 +384,6 @@ FactorizationEngine::dispatcher_stats() const {
     out.push_back(std::move(s));
   }
   return out;
-}
-
-void FactorizationEngine::reset_metrics() noexcept {
-  // Dispatcher (compute-side) sets hold completions; the submit-side set
-  // holds submits. Clearing completions first keeps completed <= submitted
-  // for any snapshot interleaved with the reset.
-  for (const auto& d : dispatchers_) d->metrics.reset();
-  metrics_.reset();
 }
 
 std::size_t FactorizationEngine::queue_depth() const {

@@ -135,8 +135,8 @@ using Completion = std::function<void(std::exception_ptr error,
 /// regardless of batch composition, dispatcher/worker thread counts,
 /// duplicate coalescing, or cache state. The guarantee composes from
 /// three facts: factorization is a pure function of `(target, opts)`
-/// (tiered scan approximation included — the index is immutable and its
-/// scans deterministic), BatchFactorizer is deterministic across thread
+/// (every codebook scan is exact and deterministic), BatchFactorizer is
+/// deterministic across thread
 /// counts, and the ResultCache verifies full key equality before serving
 /// (collision ⇒ miss; see service/result_cache.hpp). Asserted
 /// differentially by tests/test_service_engine.cpp and under
@@ -198,13 +198,6 @@ class FactorizationEngine {
   /// \return Per-dispatcher compute-side snapshots (batches dispatched, max
   ///   batch high-water, in-flight depth), index-aligned with the pool.
   [[nodiscard]] std::vector<DispatcherStats> dispatcher_stats() const;
-
-  /// Zeroes every counter and latency histogram (submit-side and all
-  /// dispatcher sets) for a fresh `stats reset` epoch. The engine keeps
-  /// serving; requests in flight attribute their completion to the new
-  /// epoch. The trace ring and request-id sequence are NOT reset —
-  /// sampled-id determinism spans epochs.
-  void reset_metrics() noexcept;
 
   /// The engine's trace ring (occupancy / drop counters, config).
   [[nodiscard]] const TraceRing& trace_ring() const noexcept {

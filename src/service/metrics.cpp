@@ -8,18 +8,19 @@ namespace factorhd::service {
 
 namespace {
 
+using Buckets = MetricsSnapshot::Buckets;
+
 /// Quantile from the power-of-two histogram: the geometric midpoint (in us)
 /// of the bucket containing the q-th latency. 0 when the histogram is empty.
-double histogram_quantile(const std::array<std::atomic<std::uint64_t>, 64>& h,
-                          double q) {
+double histogram_quantile(const Buckets& h, double q) {
   std::uint64_t total = 0;
-  for (const auto& b : h) total += b.load(std::memory_order_relaxed);
+  for (const std::uint64_t b : h) total += b;
   if (total == 0) return 0.0;
   const auto rank = static_cast<std::uint64_t>(
       std::ceil(q * static_cast<double>(total)));
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < h.size(); ++i) {
-    seen += h[i].load(std::memory_order_relaxed);
+    seen += h[i];
     if (seen >= rank && seen > 0) {
       // Bucket i covers [2^i, 2^(i+1)) ns; report the geometric midpoint
       // 2^(i+0.5) in us — within sqrt(2) of the true bucketed quantile in
@@ -32,21 +33,19 @@ double histogram_quantile(const std::array<std::atomic<std::uint64_t>, 64>& h,
 }
 
 /// Total sample count in a histogram.
-std::uint64_t histogram_count(
-    const std::array<std::atomic<std::uint64_t>, 64>& h) {
+std::uint64_t histogram_count(const Buckets& h) {
   std::uint64_t total = 0;
-  for (const auto& b : h) total += b.load(std::memory_order_relaxed);
+  for (const std::uint64_t b : h) total += b;
   return total;
 }
 
 /// Approximate sum of all samples in us: bucket geometric midpoints times
 /// counts — the same sqrt(2) fidelity as the quantiles.
-double histogram_sum_us(const std::array<std::atomic<std::uint64_t>, 64>& h) {
+double histogram_sum_us(const Buckets& h) {
   double sum = 0.0;
   for (std::size_t i = 0; i < h.size(); ++i) {
-    const std::uint64_t n = h[i].load(std::memory_order_relaxed);
-    if (n != 0) {
-      sum += static_cast<double>(n) *
+    if (h[i] != 0) {
+      sum += static_cast<double>(h[i]) *
              (std::ldexp(std::sqrt(2.0), static_cast<int>(i)) / 1e3);
     }
   }
@@ -54,9 +53,9 @@ double histogram_sum_us(const std::array<std::atomic<std::uint64_t>, 64>& h) {
 }
 
 /// Fills one per-stage digest from its histogram.
-MetricsSnapshot::StageLatency stage_digest(
-    const std::array<std::atomic<std::uint64_t>, 64>& h) {
+MetricsSnapshot::StageLatency stage_digest(const Buckets& h) {
   MetricsSnapshot::StageLatency d;
+  d.buckets = h;
   d.count = histogram_count(h);
   if (d.count != 0) {
     d.p50_us = histogram_quantile(h, 0.50);
@@ -65,6 +64,32 @@ MetricsSnapshot::StageLatency stage_digest(
     d.sum_us = histogram_sum_us(h);
   }
   return d;
+}
+
+/// Recomputes every digest of `s` from its counters and raw histograms.
+void summarize(MetricsSnapshot& s) {
+  s.mean_batch = s.batches == 0 ? 0.0
+                                : static_cast<double>(s.batched_requests) /
+                                      static_cast<double>(s.batches);
+  s.p50_latency_us = histogram_quantile(s.latency_buckets, 0.50);
+  s.p99_latency_us = histogram_quantile(s.latency_buckets, 0.99);
+  s.p999_latency_us = histogram_quantile(s.latency_buckets, 0.999);
+  s.latency_sum_us = histogram_sum_us(s.latency_buckets);
+  for (auto& stage : s.stages) stage = stage_digest(stage.buckets);
+}
+
+/// Relaxed copy of a live histogram.
+Buckets load(const std::array<std::atomic<std::uint64_t>, 64>& h) {
+  Buckets out{};
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    out[i] = h[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+/// a - b for monotonic counters, saturating at 0.
+std::uint64_t minus(std::uint64_t a, std::uint64_t b) {
+  return a > b ? a - b : 0;
 }
 
 /// One label set of a Prometheus summary family: quantile lines + _sum +
@@ -154,17 +179,42 @@ MetricsSnapshot Metrics::snapshot(std::size_t queue_depth) const {
   s.max_batch_observed =
       static_cast<std::size_t>(max_batch_.load(std::memory_order_relaxed));
   s.queue_depth = queue_depth;
-  s.mean_batch = s.batches == 0 ? 0.0
-                                : static_cast<double>(s.batched_requests) /
-                                      static_cast<double>(s.batches);
-  s.p50_latency_us = histogram_quantile(latency_buckets_, 0.50);
-  s.p99_latency_us = histogram_quantile(latency_buckets_, 0.99);
-  s.p999_latency_us = histogram_quantile(latency_buckets_, 0.999);
-  s.latency_sum_us = histogram_sum_us(latency_buckets_);
+  s.latency_buckets = load(latency_buckets_);
   for (std::size_t i = 0; i < kNumStages; ++i) {
-    s.stages[i] = stage_digest(stage_buckets_[i]);
+    s.stages[i].buckets = load(stage_buckets_[i]);
   }
+  summarize(s);
   return s;
+}
+
+MetricsSnapshot MetricsSnapshot::since(const MetricsSnapshot& baseline) const {
+  MetricsSnapshot d = *this;
+  d.submitted = minus(submitted, baseline.submitted);
+  d.rejected = minus(rejected, baseline.rejected);
+  d.completed = minus(completed, baseline.completed);
+  d.cache_hits = minus(cache_hits, baseline.cache_hits);
+  d.cache_misses = minus(cache_misses, baseline.cache_misses);
+  d.batches = minus(batches, baseline.batches);
+  d.batched_requests = minus(batched_requests, baseline.batched_requests);
+  d.coalesced = minus(coalesced, baseline.coalesced);
+  for (std::size_t i = 0; i < latency_buckets.size(); ++i) {
+    d.latency_buckets[i] =
+        minus(latency_buckets[i], baseline.latency_buckets[i]);
+  }
+  for (std::size_t st = 0; st < kNumStages; ++st) {
+    for (std::size_t i = 0; i < stages[st].buckets.size(); ++i) {
+      d.stages[st].buckets[i] =
+          minus(stages[st].buckets[i], baseline.stages[st].buckets[i]);
+    }
+  }
+  for (std::size_t i = 0; i < d.shard_rows_scanned.size() &&
+                          i < baseline.shard_rows_scanned.size();
+       ++i) {
+    d.shard_rows_scanned[i] =
+        minus(shard_rows_scanned[i], baseline.shard_rows_scanned[i]);
+  }
+  summarize(d);
+  return d;
 }
 
 void Metrics::merge(const Metrics& other) noexcept {
@@ -213,26 +263,6 @@ void Metrics::merge(const Metrics& other) noexcept {
       }
     }
   }
-}
-
-void Metrics::reset() noexcept {
-  // Downstream-first, mirroring snapshot()'s read order in reverse effect:
-  // clearing `completed` before `submitted` means a concurrent snapshot can
-  // see old submits with new (zero) completions — completed <= submitted
-  // holds — but never the inverted excess.
-  for (auto& h : stage_buckets_) {
-    for (auto& b : h) b.store(0, std::memory_order_relaxed);
-  }
-  for (auto& b : latency_buckets_) b.store(0, std::memory_order_relaxed);
-  completed_.store(0, std::memory_order_release);
-  cache_hits_.store(0, std::memory_order_release);
-  cache_misses_.store(0, std::memory_order_release);
-  batches_.store(0, std::memory_order_release);
-  batched_requests_.store(0, std::memory_order_release);
-  coalesced_.store(0, std::memory_order_release);
-  max_batch_.store(0, std::memory_order_release);
-  rejected_.store(0, std::memory_order_release);
-  submitted_.store(0, std::memory_order_release);
 }
 
 std::string MetricsSnapshot::to_string() const {

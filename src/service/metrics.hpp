@@ -3,7 +3,9 @@
 // engine is serving.
 //
 // Everything is a relaxed atomic — metrics never synchronize the hot path,
-// they only observe it. Latency percentiles come from power-of-two bucket
+// they only observe it. Counters and histograms only ever grow, as
+// Prometheus counters must: an operator who wants a fresh epoch keeps an
+// earlier snapshot as a baseline and reads current.since(baseline). Latency percentiles come from power-of-two bucket
 // histograms (64 buckets over nanoseconds); a snapshot's p50/p99/p99.9
 // report the geometric midpoint of the quantile's bucket (2^(i+0.5) ns for
 // bucket i), so the reported value is within a factor of sqrt(2) (~1.41x)
@@ -52,6 +54,10 @@ inline constexpr std::size_t kNumStages = 8;
 /// are read relaxed; a snapshot taken while serving may be mid-request, but
 /// after a drain it is exact).
 struct MetricsSnapshot {
+  /// Raw counts of one power-of-2 latency histogram: bucket i counts
+  /// latencies in [2^i, 2^(i+1)) ns (see Metrics::bucket_of).
+  using Buckets = std::array<std::uint64_t, 64>;
+
   std::uint64_t submitted = 0;      ///< accepted submit() calls
   std::uint64_t rejected = 0;       ///< submits refused by backpressure
   std::uint64_t completed = 0;      ///< completions run (incl. cache hits)
@@ -72,6 +78,8 @@ struct MetricsSnapshot {
   /// Approximate latency sum (bucket geometric midpoints x counts) — the
   /// Prometheus summary _sum line; same sqrt(2) fidelity as the quantiles.
   double latency_sum_us = 0.0;
+  /// The end-to-end histogram the latency digest above is computed from.
+  Buckets latency_buckets{};
 
   /// One stage's latency digest (same bucket quantization as above).
   struct StageLatency {
@@ -80,6 +88,7 @@ struct MetricsSnapshot {
     double p99_us = 0.0;
     double p999_us = 0.0;
     double sum_us = 0.0;  ///< approximate (bucket midpoints x counts)
+    Buckets buckets{};    ///< the histogram the digest is computed from
   };
   /// Per-stage digests, indexed by Stage.
   std::array<StageLatency, kNumStages> stages{};
@@ -87,6 +96,15 @@ struct MetricsSnapshot {
   /// Cumulative similarity measurements charged to each scan shard (empty
   /// when the served model is unsharded) — hot shards stand out here.
   std::vector<std::uint64_t> shard_rows_scanned;
+
+  /// The activity between `baseline` (an earlier snapshot of the same
+  /// counters) and this snapshot: counters, histograms and per-shard scan
+  /// counts subtract (saturating at 0), and the latency digests are
+  /// recomputed from the subtracted histograms. queue_depth and
+  /// max_batch_observed are gauges and keep this snapshot's values. This is
+  /// how factorhd_serve's `stats reset` starts a fresh epoch without ever
+  /// decrementing a live counter.
+  [[nodiscard]] MetricsSnapshot since(const MetricsSnapshot& baseline) const;
 
   /// Multi-line human-readable rendering (the `stats` command of
   /// factorhd_serve and the bench reports).
@@ -138,13 +156,6 @@ class Metrics {
   /// last. Not atomic with respect to writers of *this* — merge into a
   /// local Metrics, as the engine does.
   void merge(const Metrics& other) noexcept;
-
-  /// Zeroes every counter and histogram — the `stats reset` fresh epoch.
-  /// Counters are cleared downstream-first (completed before submitted),
-  /// so a concurrent snapshot keeps completed <= submitted; requests in
-  /// flight across the reset attribute their completion to the new epoch
-  /// (their submit was cleared), an accepted one-snapshot skew.
-  void reset() noexcept;
 
   /// Histogram bucket for a latency: floor(log2(ns)), saturated into
   /// [0, 63]. Bucket i covers [2^i, 2^(i+1)) ns; sub-nanosecond (and NaN)

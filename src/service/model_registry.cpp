@@ -1,29 +1,26 @@
 #include "service/model_registry.hpp"
 
-#include <exception>
 #include <utility>
 
-#include "service/model_snapshot.hpp"
 #include "taxonomy/io.hpp"
 
 namespace factorhd::service {
 
 Model::Model(std::string name, tax::TaxonomyCodebooks books,
-             hdc::ScanBackend backend, const core::TierSnapshots* snapshots,
+             hdc::ScanBackend backend,
              std::optional<hdc::kernels::ShardedConfig> sharded)
     : name_(std::move(name)),
       books_(std::move(books)),
       backend_(backend),
       sharded_(sharded),
       encoder_(books_),
-      factorizer_(encoder_, backend, snapshots, sharded) {}
+      factorizer_(encoder_, backend, sharded) {}
 
 std::shared_ptr<const Model> Model::make(
     std::string name, tax::TaxonomyCodebooks books, hdc::ScanBackend backend,
-    const core::TierSnapshots* snapshots,
     std::optional<hdc::kernels::ShardedConfig> sharded) {
   return std::make_shared<const Model>(std::move(name), std::move(books),
-                                       backend, snapshots, sharded);
+                                       backend, sharded);
 }
 
 std::size_t Model::num_classes() const noexcept {
@@ -35,18 +32,7 @@ std::shared_ptr<const Model> ModelRegistry::load_file(
     hdc::ScanBackend backend) {
   // Load and pack outside the lock: a slow disk or a large codebook set
   // must not stall concurrent get() calls.
-  auto books = tax::load_codebooks_file(path);
-  // A sidecar only ever saves build time: every record is re-verified
-  // against the codebooks before adoption, so a missing, corrupt, or stale
-  // sidecar degrades to the plain rebuild instead of failing the load.
-  core::TierSnapshots snapshots;
-  try {
-    snapshots = load_model_snapshots(model_snapshot_path(path));
-  } catch (const std::exception&) {
-    snapshots.clear();
-  }
-  auto model = Model::make(name, std::move(books), backend,
-                           snapshots.empty() ? nullptr : &snapshots);
+  auto model = Model::make(name, tax::load_codebooks_file(path), backend);
   std::lock_guard<std::mutex> lock(mu_);
   models_[name] = model;
   return model;
@@ -56,7 +42,7 @@ std::shared_ptr<const Model> ModelRegistry::add(
     const std::string& name, tax::TaxonomyCodebooks books,
     hdc::ScanBackend backend,
     std::optional<hdc::kernels::ShardedConfig> sharded) {
-  auto model = Model::make(name, std::move(books), backend, nullptr, sharded);
+  auto model = Model::make(name, std::move(books), backend, sharded);
   std::lock_guard<std::mutex> lock(mu_);
   models_[name] = model;
   return model;
@@ -72,8 +58,7 @@ std::shared_ptr<const Model> ModelRegistry::reshard(const std::string& name,
   // an explicit single-shard config never partitions).
   hdc::kernels::ShardedConfig cfg;
   cfg.shards = shards;
-  auto model = Model::make(name, old->books(), old->requested_backend(),
-                           nullptr, cfg);
+  auto model = Model::make(name, old->books(), old->requested_backend(), cfg);
   std::lock_guard<std::mutex> lock(mu_);
   models_[name] = model;
   return model;

@@ -30,15 +30,13 @@ namespace factorhd::service {
 ///
 /// \par Contract (build once, share everywhere)
 /// Construction is where every per-codebook index is paid for exactly
-/// once: the word-plane packing of each (class, level) codebook and — for
-/// codebooks at/above FACTORHD_TIERED_MIN_ROWS rows (or under an explicit
-/// hdc::ScanBackend::kTiered) — the tiered two-stage scan index
-/// (k-means clustering + packed centroids). After make() returns, the
-/// Model is deeply immutable, so any number of engines and sessions share
-/// one instance, packed planes and tier index included, through
-/// shared_ptr<const Model> with no further synchronization and no
-/// per-request rebuild cost. Retuning a FACTORHD_TIERED_* knob therefore
-/// takes effect at the next load, never mid-flight.
+/// once: the word-plane packing of each (class, level) codebook (and its
+/// shard partition, when sharded). After make() returns, the Model is deeply
+/// immutable, so any number of engines and sessions share one instance,
+/// packed planes included, through shared_ptr<const Model> with no further
+/// synchronization and no per-request rebuild cost. Retuning a
+/// FACTORHD_SHARDS knob therefore takes effect at the next load, never
+/// mid-flight.
 class Model {
  public:
   /// Builds a model from in-memory codebooks (the registry's file loader
@@ -46,21 +44,15 @@ class Model {
   /// \param name Registry name (diagnostic; the registry enforces keys).
   /// \param books Codebook material; moved in and owned by the model.
   /// \param backend Scan backend for the factorizer's item memories.
-  /// \param snapshots Optional pre-built tier indexes (a loaded sidecar,
-  ///   see service/model_snapshot.hpp) offered to the factorizer so
-  ///   construction can skip the k-means builds whose saved index verifies
-  ///   against the codebooks; consulted only during this call. Check
-  ///   factorizer().snapshots_adopted() / rejected() for the outcome.
   /// \param sharded Optional scatter-gather shard configuration threaded to
   ///   the factorizer's item memories (see hdc::ItemMemory); results stay
-  ///   bit-identical to the unsharded model whenever the shards scan exact.
+  ///   bit-identical to the unsharded model.
   /// \return The shared immutable model.
   /// \throws std::invalid_argument From the Factorizer constructor (forced
   ///   unavailable SIMD tier, unpackable codebook under kPacked).
   [[nodiscard]] static std::shared_ptr<const Model> make(
       std::string name, tax::TaxonomyCodebooks books,
       hdc::ScanBackend backend = hdc::ScanBackend::kAuto,
-      const core::TierSnapshots* snapshots = nullptr,
       std::optional<hdc::kernels::ShardedConfig> sharded = std::nullopt);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
@@ -95,7 +87,7 @@ class Model {
 
   /// Public only for make()'s std::make_shared; use make().
   Model(std::string name, tax::TaxonomyCodebooks books,
-        hdc::ScanBackend backend, const core::TierSnapshots* snapshots,
+        hdc::ScanBackend backend,
         std::optional<hdc::kernels::ShardedConfig> sharded = std::nullopt);
 
  private:
@@ -114,13 +106,6 @@ class Model {
 class ModelRegistry {
  public:
   /// Loads a codebook-set model file (taxonomy/io framing) and registers it.
-  ///
-  /// When a snapshot sidecar (`<path>.tix`, see service/model_snapshot.hpp)
-  /// is present and loads cleanly, its tier indexes are offered to the
-  /// model build — a verified match skips that codebook's k-means build. A
-  /// missing, corrupt, or mismatched sidecar silently falls back to the
-  /// full rebuild: sidecars are an acceleration, never a correctness
-  /// input. Errors from the model file itself always propagate.
   /// \param name Registry key.
   /// \param path Model file written by tax::save_codebooks_file.
   /// \param backend Scan backend for the model's factorizer.

@@ -19,7 +19,6 @@ std::uint64_t fingerprint_options(
   h = hash_mix(h ^ opts.max_depth);
   h = hash_mix(h ^ opts.max_candidates_per_class);
   h = hash_mix(h ^ (opts.collect_trace ? 2u : 0u));
-  h = hash_mix(h ^ (opts.exact_scan ? 4u : 0u));
   h = hash_mix(h ^ opts.selected_classes.size());
   for (const std::size_t cls : opts.selected_classes) {
     h = hash_mix(h ^ cls);

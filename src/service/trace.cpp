@@ -35,8 +35,7 @@ void append_args(std::ostringstream& os, const RequestTrace& t) {
   os << "{\"cache_hit\":" << (t.cache_hit ? "true" : "false")
      << ",\"dispatcher\":" << t.dispatcher
      << ",\"batch_size\":" << t.batch_size << ",\"shards\":" << t.shards
-     << ",\"rows_scanned\":" << t.rows_scanned << ",\"probes\":" << t.probes
-     << ",\"exact_rescans\":" << t.exact_rescans
+     << ",\"rows_scanned\":" << t.rows_scanned
      << ",\"rounds\":" << t.rounds << "}";
 }
 

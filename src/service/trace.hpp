@@ -7,8 +7,8 @@
 //
 //   RequestTrace   one request's monotonic stage timestamps (submit, cache
 //                  lookup, enqueue, dequeue, scan start/end, completion)
-//                  plus the scan-side facts lifted from the result (probes,
-//                  rows scanned, exact rescans, shard fan-out, rounds).
+//                  plus the scan-side facts lifted from the result (rows
+//                  scanned, shard fan-out, rounds).
 //   TraceRing      a bounded lock-free ring the engine publishes sampled
 //                  traces into. Writers are wait-free: a slot is claimed by
 //                  CAS; losing a claim drops the record and counts it —
@@ -74,8 +74,6 @@ struct RequestTrace {
   std::uint32_t batch_size = 0;  ///< requests in the options-group batch
   std::uint64_t shards = 0;      ///< scan shard fan-out of the model
   std::uint64_t rows_scanned = 0;   ///< FactorizeResult::similarity_ops
-  std::uint64_t probes = 0;         ///< FactorizeResult::probes
-  std::uint64_t exact_rescans = 0;  ///< FactorizeResult::exact_rescans
   std::uint64_t rounds = 0;         ///< FactorizeResult::rounds
 };
 

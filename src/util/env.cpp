@@ -29,7 +29,7 @@ std::size_t env_size_t(const char* name, std::size_t fallback,
 
 std::span<const EnvKnob> env_knobs() {
   // One row per knob, alphabetical. Keep in sync with the call sites (the
-  // parsers cite this registry) and the table in docs/ARCHITECTURE.md.
+  // parsers cite this registry) and the table in docs/TUNING.md.
   static const EnvKnob kKnobs[] = {
       {"FACTORHD_BENCH_SCALE", "quick | full", "quick",
        "bench sweep sizes: reduced laptop-scale vs paper-scale"},
@@ -78,23 +78,6 @@ std::span<const EnvKnob> env_knobs() {
       {"FACTORHD_SLOW_QUERY_US", "0 (off) .. 2^40", "0",
        "serve-side slow-query log: requests whose end-to-end latency exceeds "
        "this many microseconds emit a rate-limited JSONL stage breakdown"},
-      {"FACTORHD_SNAPSHOT_MMAP", "0 (stream) | 1 (mmap)", "1",
-       "load FTS1/FTX1 snapshots via a shared read-only mmap where available"},
-      {"FACTORHD_TIERED_BUILD_THREADS", "0 (auto) .. 256", "0 = scan pool",
-       "worker threads of the tiered-index clustering build (bit-identical "
-       "results at any width)"},
-      {"FACTORHD_TIERED_CLUSTERS", "0 (auto) .. 2^24", "0 = 4*ceil(sqrt(M))",
-       "coarse bucket count K of the tiered (two-stage) scan index"},
-      {"FACTORHD_TIERED_MIN_ROWS", "0 (never) .. 2^30", "65536",
-       "codebook row count at which kAuto memories build the tiered index"},
-      {"FACTORHD_TIERED_NPROBE", "0 (auto) .. 2^24", "0 = max(1, K/16)",
-       "buckets probed per tiered scan; >= K makes every scan exact"},
-      {"FACTORHD_TIERED_NPROBE_MAX", "0 (off) .. 2^24", "0 = fixed nprobe",
-       "adaptive probing ceiling: derive per-query probe counts from the "
-       "centroid-score margin, up to this many buckets"},
-      {"FACTORHD_TIERED_NPROBE_MIN", "0 (auto) .. 2^24", "0 = max(1, nprobe/8)",
-       "adaptive probing floor: buckets always probed before the margin rule "
-       "may stop; >= K keeps every scan exact"},
       {"FACTORHD_TRACE_RING", "1 .. 2^24", "4096",
        "serve-side trace-ring capacity: sampled request traces retained for "
        "`trace dump` (Chrome trace-event JSON)"},

@@ -280,80 +280,4 @@ TEST(KernelEquivalence, SimilarityOpCountsMatchScalar) {
   EXPECT_EQ(scalar.similarity_ops(), 9u + 9u + 3u + 9u);
 }
 
-TEST(KernelEquivalence, BatchDotKernelsMatchPerRowDotsAtEveryLevel) {
-  // The parallel tier build's screened assignment runs on BatchDotKernels;
-  // simd.hpp promises the exact same integers as calling the matching
-  // DotKernels entry per row, bit-identical across levels — this is that
-  // pin. Covers word-tail dims, counts hitting every remainder loop, and
-  // the prefix-width (partial-plane) shape the k-means screen uses.
-  Xoshiro256 rng(808);
-  const kernels::SimdLevel levels[] = {
-      kernels::SimdLevel::kScalarWords, kernels::SimdLevel::kAVX2,
-      kernels::SimdLevel::kAVX512, kernels::SimdLevel::kNEON};
-  for (const std::size_t dim : kDims) {
-    const std::size_t words = kernels::plane_words(dim);
-    for (const std::size_t count :
-         {std::size_t{1}, std::size_t{5}, std::size_t{32}}) {
-      // Contiguous row-major sign-plane buffer, as the build lays it out.
-      std::vector<std::uint64_t> rows(count * words);
-      for (std::size_t i = 0; i < count; ++i) {
-        const auto packed = PackedQuery::pack(random_bipolar(dim, rng));
-        ASSERT_TRUE(packed.has_value());
-        std::copy(packed->sign.begin(), packed->sign.end(),
-                  rows.begin() + static_cast<std::ptrdiff_t>(i * words));
-      }
-      const auto bq = PackedQuery::pack(random_bipolar(dim, rng));
-      const auto tq = PackedQuery::pack(random_ternary(dim, 0.4, rng));
-      ASSERT_TRUE(bq.has_value() && tq.has_value());
-
-      std::vector<std::int64_t> ref_b(count), ref_t(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint64_t* row = rows.data() + i * words;
-        ref_b[i] = kernels::dot_bipolar_bipolar(bq->sign.data(), row, words, dim);
-        ref_t[i] = kernels::dot_bipolar_ternary(row, tq->nonzero.data(),
-                                                tq->sign.data(), words);
-      }
-      for (const kernels::SimdLevel level : levels) {
-        if (!kernels::simd_level_available(level)) continue;
-        const kernels::BatchDotKernels& batch = kernels::batch_dot_kernels(level);
-        std::vector<std::int64_t> out(count, -12345);
-        batch.bipolar_rows(bq->sign.data(), rows.data(), count, words, dim,
-                           out.data());
-        EXPECT_EQ(ref_b, out) << "bipolar_rows dim=" << dim << " count="
-                              << count << " level=" << kernels::to_string(level);
-        std::fill(out.begin(), out.end(), -12345);
-        batch.ternary_rows(tq->nonzero.data(), tq->sign.data(), rows.data(),
-                           count, words, out.data());
-        EXPECT_EQ(ref_t, out) << "ternary_rows dim=" << dim << " count="
-                              << count << " level=" << kernels::to_string(level);
-      }
-
-      // Prefix-width dots (the screen's partial planes): every prefix word
-      // of a canonical plane is full, so dim_p = 64 * words_p.
-      if (words < 2) continue;
-      const std::size_t words_p = words / 2;
-      const std::size_t dim_p = 64 * words_p;
-      std::vector<std::uint64_t> prefix_rows(count * words_p);
-      for (std::size_t i = 0; i < count; ++i) {
-        std::copy_n(rows.data() + i * words, words_p,
-                    prefix_rows.begin() + static_cast<std::ptrdiff_t>(i * words_p));
-      }
-      std::vector<std::int64_t> ref_p(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        ref_p[i] = kernels::dot_bipolar_bipolar(
-            bq->sign.data(), prefix_rows.data() + i * words_p, words_p, dim_p);
-      }
-      for (const kernels::SimdLevel level : levels) {
-        if (!kernels::simd_level_available(level)) continue;
-        std::vector<std::int64_t> out(count, -12345);
-        kernels::batch_dot_kernels(level).bipolar_rows(
-            bq->sign.data(), prefix_rows.data(), count, words_p, dim_p,
-            out.data());
-        EXPECT_EQ(ref_p, out) << "prefix bipolar_rows dim=" << dim
-                              << " level=" << kernels::to_string(level);
-      }
-    }
-  }
-}
-
 }  // namespace

@@ -18,7 +18,7 @@
 // axis: at every block size Q in {1, 2, 3, 8, 33, 64} the blocked result
 // must be bit-identical to Q independent single-query scans, on every SIMD
 // tier, including tie-heavy codebooks and blocks whose queries force the
-// per-query fallback (integer bundles, tiered default scans).
+// per-query fallback (integer bundles).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +31,6 @@
 #include "hdc/kernels/packed_item_memory.hpp"
 #include "hdc/kernels/plane.hpp"
 #include "hdc/kernels/simd.hpp"
-#include "hdc/kernels/tiered_item_memory.hpp"
 #include "hdc/ops.hpp"
 #include "hdc/random.hpp"
 #include "util/rng.hpp"
@@ -213,35 +212,20 @@ void run_config(const FuzzConfig& cfg, const std::vector<ScanBackend>& backends,
   const ItemMemory scalar(cb, ScanBackend::kScalar);
   std::vector<ItemMemory> packed;
   std::vector<std::string> names;
-  packed.reserve(backends.size() + 3 +
+  packed.reserve(backends.size() +
                  sizeof(kShardCounts) / sizeof(kShardCounts[0]));
   for (ScanBackend b : backends) {
     packed.emplace_back(cb, b);
     names.emplace_back(backend_name(b));
   }
-  // A full-coverage tiered memory (nprobe = all buckets) rides the same
-  // differential: the verification bound says it is indistinguishable from
-  // the exact backends on every scan surface.
-  packed.emplace_back(
-      cb, ScanBackend::kTiered,
-      kernels::TieredConfig{.clusters = 1 + rng.uniform(cb.size()),
-                            .nprobe = cb.size()});
-  names.emplace_back("kTiered(nprobe=all)");
-  // The scatter-gather axis: exact sharded memories at every count —
-  // including counts that do not divide the size and counts above it —
-  // must merge to the same bit-identical results, and so must a sharded
-  // memory whose shards each carry a full-coverage tier.
+  // The scatter-gather axis: sharded memories at every count — including
+  // counts that do not divide the size and counts above it — must merge to
+  // the same bit-identical results.
   for (const std::size_t n : kShardCounts) {
-    packed.emplace_back(cb, ScanBackend::kSharded, std::nullopt, nullptr,
+    packed.emplace_back(cb, ScanBackend::kSharded,
                         kernels::ShardedConfig{.shards = n});
     names.emplace_back("kSharded(n=" + std::to_string(n) + ")");
   }
-  packed.emplace_back(
-      cb, ScanBackend::kSharded,
-      kernels::TieredConfig{.clusters = 1 + rng.uniform(cb.size()),
-                            .nprobe = cb.size()},
-      nullptr, kernels::ShardedConfig{.shards = 1 + rng.uniform(5)});
-  names.emplace_back("kSharded(tiered,nprobe=all)");
   for (const Hypervector& q : make_queries(cfg, cb, rng)) {
     for (std::size_t i = 0; i < packed.size(); ++i) {
       SCOPED_TRACE(names[i]);
@@ -309,54 +293,6 @@ TEST(KernelFuzz, AllLevelsPackIdenticalPlanes) {
     for (SimdLevel l : levels) {
       EXPECT_FALSE(PackedQuery::pack(bundle_like, l).has_value())
           << kernels::to_string(l);
-    }
-  }
-}
-
-TEST(KernelFuzz, TieredNprobeAllBitIdenticalOnEveryLevel) {
-  // The tiered verification bound, pinned per SIMD tier: with nprobe
-  // covering every bucket, TieredItemMemory must reproduce the
-  // PackedItemMemory scans bit-for-bit (index, similarity, ordering) at
-  // each tier this CPU can execute — so the tier index is a pure routing
-  // structure with no arithmetic of its own.
-  using kernels::PackedItemMemory;
-  using kernels::TieredConfig;
-  using kernels::TieredItemMemory;
-  std::vector<SimdLevel> levels{SimdLevel::kScalarWords};
-  for (SimdLevel l : {SimdLevel::kAVX2, SimdLevel::kAVX512, SimdLevel::kNEON}) {
-    if (kernels::simd_level_available(l)) levels.push_back(l);
-  }
-  Xoshiro256 rng(20260729);
-  for (int round = 0; round < 24; ++round) {
-    FuzzConfig cfg;
-    cfg.dim = kBoundaryDims[rng.uniform(
-        sizeof(kBoundaryDims) / sizeof(kBoundaryDims[0]))];
-    cfg.size = 1 + rng.uniform(40);
-    cfg.ternary = rng.uniform(2) == 1;
-    cfg.tie_heavy = rng.uniform(3) == 0;
-    SCOPED_TRACE(cfg.describe());
-    const Codebook cb = make_codebook(cfg, rng);
-    const TieredConfig tiered_cfg{.clusters = 1 + rng.uniform(cfg.size),
-                                  .nprobe = cfg.size};
-    for (SimdLevel level : levels) {
-      SCOPED_TRACE(kernels::to_string(level));
-      const PackedItemMemory ref(cb, level);
-      const TieredItemMemory tiered(cb, tiered_cfg, level);
-      EXPECT_TRUE(tiered.exact());
-      EXPECT_EQ(tiered.simd_level(), level);
-      for (const Hypervector& q : make_queries(cfg, cb, rng)) {
-        const auto pq = PackedQuery::pack(q, level);
-        if (!pq) continue;  // integer bundles have no packed reference
-        const Match rb = ref.best(*pq);
-        const Match tb = tiered.best(*pq);
-        EXPECT_EQ(rb.index, tb.index);
-        EXPECT_EQ(rb.similarity, tb.similarity);
-        for (double th : {-2.0, rb.similarity, rb.similarity / 2.0}) {
-          expect_same_matches(ref.above(*pq, th), tiered.above(*pq, th));
-        }
-        expect_same_matches(ref.top_k(*pq, 1 + cfg.size / 2),
-                            tiered.top_k(*pq, 1 + cfg.size / 2));
-      }
     }
   }
 }
@@ -447,9 +383,8 @@ TEST(KernelFuzz, BlockedScansMatchPerQueryAtEveryBlockSize) {
 TEST(KernelFuzz, ItemMemoryBestBlockMatchesPerQueryOnEveryBackend) {
   // The routing layer above the kernels: ItemMemory::best_block must match
   // per-query best() — result AND deterministic measurement count — on every
-  // backend and mode, including blocks that mix packable queries with the
-  // integer bundle (forcing the per-query fallback mid-block) and tiered
-  // memories where the default mode never takes the blocked path at all.
+  // backend, including blocks that mix packable queries with the integer
+  // bundle (forcing the per-query fallback mid-block).
   Xoshiro256 rng(20260807);
   for (std::size_t q : kBlockSizes) {
     FuzzConfig cfg;
@@ -469,31 +404,26 @@ TEST(KernelFuzz, ItemMemoryBestBlockMatchesPerQueryOnEveryBackend) {
 
     const ItemMemory scalar(cb, ScanBackend::kScalar);
     const ItemMemory packed(cb, ScanBackend::kPacked);
-    const ItemMemory tiered(
-        cb, ScanBackend::kTiered,
-        kernels::TieredConfig{.clusters = 1 + rng.uniform(cfg.size),
-                              .nprobe = 1});
+    const ItemMemory sharded(cb, ScanBackend::kSharded,
+                             kernels::ShardedConfig{.shards = 3});
     struct Case {
       const ItemMemory* memory;
-      ScanMode mode;
       const char* name;
     };
     const Case cases[] = {
-        {&scalar, ScanMode::kDefault, "kScalar"},
-        {&packed, ScanMode::kDefault, "kPacked"},
-        {&packed, ScanMode::kExact, "kPacked/exact"},
-        {&tiered, ScanMode::kDefault, "kTiered"},
-        {&tiered, ScanMode::kExact, "kTiered/exact"},
+        {&scalar, "kScalar"},
+        {&packed, "kPacked"},
+        {&sharded, "kSharded"},
     };
     for (const Case& c : cases) {
       SCOPED_TRACE(c.name);
       std::vector<std::uint64_t> scanned_block(q, ~std::uint64_t{0});
       const std::vector<Match> got =
-          c.memory->best_block(block, c.mode, scanned_block.data());
+          c.memory->best_block(block, scanned_block.data());
       ASSERT_EQ(got.size(), q);
       for (std::size_t i = 0; i < q; ++i) {
         std::uint64_t scanned_one = ~std::uint64_t{0};
-        const Match ref = c.memory->best(block[i], c.mode, &scanned_one);
+        const Match ref = c.memory->best(block[i], &scanned_one);
         EXPECT_EQ(ref.index, got[i].index) << "query " << i;
         EXPECT_EQ(ref.similarity, got[i].similarity) << "query " << i;
         EXPECT_EQ(scanned_one, scanned_block[i]) << "query " << i;
@@ -502,7 +432,7 @@ TEST(KernelFuzz, ItemMemoryBestBlockMatchesPerQueryOnEveryBackend) {
     // The empty block is a no-op on every backend.
     EXPECT_TRUE(scalar.best_block({}).empty());
     EXPECT_TRUE(packed.best_block({}).empty());
-    EXPECT_TRUE(tiered.best_block({}).empty());
+    EXPECT_TRUE(sharded.best_block({}).empty());
   }
 }
 

@@ -1,12 +1,14 @@
-// service::Metrics: histogram bucket edges, per-stage digests, the
-// Prometheus renderer, and — the TSan-gated part — merge/snapshot/reset
-// under concurrent writers.
+// service::Metrics: histogram bucket edges, per-stage digests, baseline
+// subtraction, the Prometheus renderer, and — the TSan-gated part —
+// merge/snapshot under concurrent writers.
 //
-// The wait-free contract under test: recording never locks, snapshot() can
-// run at any time while writers are live and must preserve the
-// completed <= submitted ordering (release increments paired with
-// downstream-first acquire reads), and a merge taken after all writers
-// joined is exact — every event counted once.
+// The wait-free contract under test: recording never locks, counters never
+// decrease, snapshot() can run at any time while writers are live and must
+// preserve the completed <= submitted ordering (release increments paired
+// with downstream-first acquire reads), and a merge taken after all writers
+// joined is exact — every event counted once. Writer threads are jthreads,
+// so a failed ASSERT returns through their joining destructors instead of
+// aborting on a joinable std::thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -133,19 +135,55 @@ TEST(MetricsStages, PrometheusRendererEmitsEveryFamily) {
   }
 }
 
-TEST(MetricsStages, ResetZeroesCountersAndHistograms) {
+TEST(MetricsStages, SinceBaselineCountsOnlyLaterEvents) {
   Metrics m;
   m.on_submitted();
   m.on_cache_miss();
+  m.on_batch(3);
   m.on_stage(Stage::kMerge, 2.0);
   m.on_completed(4.0);
-  m.reset();
-  const MetricsSnapshot snap = m.snapshot(0);
-  EXPECT_EQ(snap.submitted, 0u);
-  EXPECT_EQ(snap.completed, 0u);
-  EXPECT_EQ(snap.cache_misses, 0u);
-  EXPECT_DOUBLE_EQ(snap.p50_latency_us, 0.0);
-  for (const auto& d : snap.stages) EXPECT_EQ(d.count, 0u);
+  MetricsSnapshot baseline = m.snapshot(0);
+  baseline.shard_rows_scanned = {10, 20};
+
+  // The second epoch records different latencies, so every digest of the
+  // difference must come from these samples alone.
+  m.on_submitted();
+  m.on_submitted();
+  m.on_cache_hit();
+  m.on_cache_miss();
+  m.on_batch(1);
+  m.on_stage(Stage::kScan, 100.0);
+  m.on_completed(1000.0);
+  m.on_completed(1000.0);
+  MetricsSnapshot now = m.snapshot(5);
+  now.shard_rows_scanned = {15, 50};
+
+  const MetricsSnapshot d = now.since(baseline);
+  EXPECT_EQ(d.submitted, 2u);
+  EXPECT_EQ(d.completed, 2u);
+  EXPECT_EQ(d.cache_hits, 1u);
+  EXPECT_EQ(d.cache_misses, 1u);
+  EXPECT_EQ(d.batches, 1u);
+  EXPECT_EQ(d.batched_requests, 1u);
+  EXPECT_DOUBLE_EQ(d.mean_batch, 1.0);
+  // Gauges are not differences: they keep the current reading.
+  EXPECT_EQ(d.queue_depth, 5u);
+  EXPECT_EQ(d.max_batch_observed, 3u);
+  const double slow_us =
+      bucket_midpoint_us(static_cast<int>(Metrics::bucket_of(1000.0)));
+  EXPECT_DOUBLE_EQ(d.p50_latency_us, slow_us);
+  EXPECT_DOUBLE_EQ(d.p999_latency_us, slow_us);
+  EXPECT_DOUBLE_EQ(d.latency_sum_us, 2 * slow_us);
+  EXPECT_EQ(d.stages[static_cast<std::size_t>(Stage::kMerge)].count, 0u);
+  EXPECT_EQ(d.stages[static_cast<std::size_t>(Stage::kScan)].count, 1u);
+  EXPECT_EQ(d.shard_rows_scanned, (std::vector<std::uint64_t>{5, 30}));
+
+  // The live counters never went down, and a snapshot minus itself is empty.
+  EXPECT_EQ(m.snapshot(0).submitted, 3u);
+  const MetricsSnapshot none = now.since(now);
+  EXPECT_EQ(none.submitted, 0u);
+  EXPECT_DOUBLE_EQ(none.p50_latency_us, 0.0);
+  for (const auto& stage : none.stages) EXPECT_EQ(stage.count, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -156,7 +194,7 @@ TEST(MetricsConcurrency, MergeAfterConcurrentWritersIsExact) {
   constexpr int kEventsPerWriter = 5000;
   // One Metrics per writer, as the engine keeps one per dispatcher.
   std::vector<Metrics> per_writer(kWriters);
-  std::vector<std::thread> threads;
+  std::vector<std::jthread> threads;
   threads.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&per_writer, w] {
@@ -180,7 +218,7 @@ TEST(MetricsConcurrency, MergeAfterConcurrentWritersIsExact) {
     ASSERT_LE(snap.completed, snap.submitted);
     ASSERT_LE(snap.cache_hits + snap.cache_misses, snap.submitted);
   }
-  for (std::thread& t : threads) t.join();
+  for (std::jthread& t : threads) t.join();
   // After the join, one more merge must be exact.
   Metrics agg;
   for (const Metrics& m : per_writer) agg.merge(m);
@@ -202,7 +240,7 @@ TEST(MetricsConcurrency, MergeAfterConcurrentWritersIsExact) {
 TEST(MetricsConcurrency, SnapshotUnderPollerKeepsCompletedLeSubmitted) {
   Metrics m;
   std::atomic<bool> stop{false};
-  std::thread writer([&m, &stop] {
+  std::jthread writer([&m, &stop] {
     for (int i = 0; i < 20000 && !stop.load(std::memory_order_relaxed); ++i) {
       m.on_submitted();
       m.on_cache_miss();
@@ -220,27 +258,6 @@ TEST(MetricsConcurrency, SnapshotUnderPollerKeepsCompletedLeSubmitted) {
   const MetricsSnapshot snap = m.snapshot(0);
   EXPECT_EQ(snap.submitted, 20000u);
   EXPECT_EQ(snap.completed, 20000u);
-}
-
-TEST(MetricsConcurrency, ResetDuringWritesNeverInvertsTheOrdering) {
-  Metrics m;
-  std::atomic<bool> stop{false};
-  std::thread writer([&m, &stop] {
-    for (int i = 0; i < 10000; ++i) {
-      m.on_submitted();
-      m.on_completed(1.0);
-    }
-    stop.store(true, std::memory_order_relaxed);
-  });
-  while (!stop.load(std::memory_order_relaxed)) {
-    m.reset();
-    const MetricsSnapshot snap = m.snapshot(0);
-    // A request in flight across the reset may attribute its completion to
-    // the new epoch (documented one-snapshot skew of at most the in-flight
-    // count — here a single writer, so at most 1).
-    ASSERT_LE(snap.completed, snap.submitted + 1);
-  }
-  writer.join();
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ class NetDifferentialTest : public ::testing::Test {
     if (shards > 1) sharded = hdc::kernels::ShardedConfig{.shards = shards};
     model_ = service::Model::make(
         "netdiff", tax::TaxonomyCodebooks(tax::Taxonomy(3, {8, 4}), kDim, rng),
-        hdc::ScanBackend::kAuto, nullptr, sharded);
+        hdc::ScanBackend::kAuto, sharded);
 
     core::FactorizeOptions single;
     core::FactorizeOptions partial;

@@ -347,7 +347,7 @@ TEST_F(NetFaults, StopDrainsInFlightRequests) {
   ASSERT_TRUE(eventually(
       [&] { return server.admission_stats().admitted >= kSent; }));
 
-  std::thread stopper([&] { server.stop(); });
+  std::jthread stopper([&] { server.stop(); });
   const core::FactorizeResult expected =
       model_->factorizer().factorize(target_, {});
   for (std::size_t i = 0; i < kSent; ++i) {
@@ -371,7 +371,7 @@ TEST_F(NetFaults, RequestsAfterDrainStartAreRejectedShuttingDown) {
   ASSERT_TRUE(eventually(
       [&] { return server.admission_stats().admitted >= 1; }));
 
-  std::thread stopper([&] { server.stop(); });
+  std::jthread stopper([&] { server.stop(); });
   // Responses during the drain are either the real result or a typed
   // kShuttingDown error for frames landing after the drain began — but
   // never silence.

@@ -48,8 +48,6 @@ core::FactorizeResult sample_result(bool with_trace) {
   r.similarity_ops = 123456789;
   r.combinations_checked = 4242;
   r.converged = false;
-  r.exact_rescans = 3;
-  r.probes = 777;
   r.rounds = 5;
   if (with_trace) {
     core::RoundTrace rt;
@@ -264,7 +262,6 @@ TEST(NetProtocol, RandomByteSoupNeverCrashes) {
 TEST(NetProtocol, FactorizeRequestRoundTrip) {
   net::FactorizeRequest req;
   req.opts.multi_object = true;
-  req.opts.exact_scan = true;
   req.opts.collect_trace = true;
   req.opts.threshold = 0.1;  // not exactly representable: bit-exactness test
   req.opts.num_objects_hint = 3;

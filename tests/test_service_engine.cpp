@@ -403,7 +403,7 @@ TEST_F(ServiceEngineTest, DispatcherZeroResolvesToModelShardCount) {
   cfg.shards = 3;
   auto sharded = service::Model::make(
       "sharded", tax::TaxonomyCodebooks(tax::Taxonomy(3, {8, 4}), kDim, rng),
-      hdc::ScanBackend::kAuto, nullptr, cfg);
+      hdc::ScanBackend::kAuto, cfg);
   EXPECT_EQ(sharded->factorizer().scan_backend(), hdc::ScanBackend::kSharded);
   EXPECT_EQ(sharded->factorizer().shards(), 3u);
   service::FactorizationEngine affine(sharded, {.dispatchers = 0});
@@ -425,7 +425,7 @@ TEST_F(ServiceEngineTest, ShardedModelServesBitIdenticalResults) {
     auto sharded = service::Model::make(
         "sharded",
         tax::TaxonomyCodebooks(tax::Taxonomy(3, {8, 4}), kDim, fresh),
-        hdc::ScanBackend::kAuto, nullptr, cfg);
+        hdc::ScanBackend::kAuto, cfg);
     service::FactorizationEngine engine(sharded, {.max_batch = 8,
                                                   .max_delay_us = 200,
                                                   .dispatchers = 2,
@@ -447,7 +447,7 @@ TEST_F(ServiceEngineTest, CoalescingKeysOnGlobalIdentityUnderSharding) {
   cfg.shards = 4;
   auto sharded = service::Model::make(
       "sharded", tax::TaxonomyCodebooks(tax::Taxonomy(3, {8, 4}), kDim, rng),
-      hdc::ScanBackend::kAuto, nullptr, cfg);
+      hdc::ScanBackend::kAuto, cfg);
   for (const auto& model : {model_, sharded}) {
     SCOPED_TRACE(model == model_ ? "unsharded" : "4-way sharded");
     service::FactorizationEngine engine(model, {.max_batch = 1000,

@@ -55,7 +55,7 @@ TEST_F(ServiceSoak, ProducersPollerAndDrainInvariants) {
   std::vector<std::vector<std::future<core::FactorizeResult>>> futures(
       kProducers);
   std::atomic<bool> polling{true};
-  std::thread poller([&] {
+  std::jthread poller([&] {
     // Metrics must be safely snapshotable while serving (and the snapshot
     // internally consistent enough to never over-count completions).
     while (polling.load(std::memory_order_relaxed)) {
@@ -66,7 +66,7 @@ TEST_F(ServiceSoak, ProducersPollerAndDrainInvariants) {
     }
   });
 
-  std::vector<std::thread> producers;
+  std::vector<std::jthread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       futures[p].reserve(kPerProducer);
@@ -134,7 +134,7 @@ TEST_F(ServiceSoak, ChainedCallbacksCompleteExactlyOnce) {
     };
   };
 
-  std::vector<std::thread> producers;
+  std::vector<std::jthread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       for (std::size_t i = 0; i < kPerProducer; ++i) {
@@ -181,7 +181,7 @@ TEST_F(ServiceSoak, RejectModeUnderConcurrentLoad) {
                                                .cache_capacity = 0});
   std::atomic<std::size_t> accepted{0};
   std::atomic<std::size_t> rejected{0};
-  std::vector<std::thread> producers;
+  std::vector<std::jthread> producers;
   std::vector<std::vector<std::future<core::FactorizeResult>>> futures(
       kProducers);
   for (std::size_t p = 0; p < kProducers; ++p) {

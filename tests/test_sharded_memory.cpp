@@ -1,4 +1,4 @@
-// ShardedItemMemory (hdc/kernels/sharded_item_memory.hpp) — the ISSUE 8
+// ShardedItemMemory (hdc/kernels/sharded_item_memory.hpp) — the
 // scatter-gather contract from every side:
 //
 //  * partition — balanced contiguous row ranges (sizes differ by at most
@@ -10,23 +10,16 @@
 //    tied codebooks whose duplicate rows straddle shard boundaries (the
 //    merge tie rules: argmax keeps the lowest global index, sorted surfaces
 //    follow hdc::match_order);
-//  * tiered shards — per-shard tier indexes with full probing stay exact,
-//    and ScanStats accumulate the summed per-shard costs;
-//  * persistence — per-shard FTS1 snapshots round trip through
-//    save_sharded_index / load_sharded_index, verified snapshots are
-//    adopted, mismatched ones rejected with the memory still correct, and a
-//    corrupt shard file throws at load (never mis-scans);
 //  * soak (ShardedSoak) — concurrent client threads scanning one shared
 //    ShardedItemMemory, with the scan pool forced wide enough that the
 //    internal shard scatter also runs threaded, stay race-free (TSan CI
 //    runs this binary) and bit-identical to single-threaded references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -38,7 +31,6 @@
 #include "hdc/kernels/packed_item_memory.hpp"
 #include "hdc/kernels/sharded_item_memory.hpp"
 #include "hdc/kernels/simd.hpp"
-#include "hdc/kernels/tiered_item_memory.hpp"
 #include "hdc/match.hpp"
 #include "hdc/random.hpp"
 #include "util/rng.hpp"
@@ -53,8 +45,6 @@ using kernels::PackedQuery;
 using kernels::ShardedConfig;
 using kernels::ShardedItemMemory;
 using kernels::SimdLevel;
-using kernels::TieredConfig;
-using kernels::TieredItemMemory;
 
 // scan_pool_width() latches FACTORHD_SCAN_THREADS on first call, so the
 // override must be installed before any scan in this binary — a static
@@ -176,8 +166,6 @@ TEST(ShardedMemory, PartitionIsBalancedContiguousAndClampsShardCount) {
     }
     EXPECT_EQ(begin, cb.size()) << "partition must cover every row";
     EXPECT_LE(max_size - min_size, 1u) << "balanced partition";
-    EXPECT_FALSE(sharded.tiered_shards());
-    EXPECT_TRUE(sharded.exact());
   }
   // Null row memory is rejected; shards=0 defers to the env knob.
   EXPECT_THROW(ShardedItemMemory(nullptr), std::invalid_argument);
@@ -237,107 +225,29 @@ TEST(ShardedMemory, TiedRowsAcrossShardBoundariesMergeCanonically) {
   }
 }
 
-TEST(ShardedMemory, TieredShardsWithFullProbingStayExact) {
-  Xoshiro256 rng(47);
-  const Codebook cb(256, 240, rng);
+TEST(ShardedMemory, SliceViewsShareTheParentPlanes) {
+  Xoshiro256 rng(37);
+  const Codebook cb(130, 20, rng);
   const auto packed = std::make_shared<const PackedItemMemory>(cb);
-  const std::vector<PackedQuery> queries = make_queries(cb, 13);
-  ShardedConfig cfg;
-  cfg.shards = 4;
-  // nprobe >= clusters on every shard: the tier probes everything, so the
-  // scan stays exact and the sharded results must stay bit-identical.
-  cfg.tiered = TieredConfig{.clusters = 4, .nprobe = 240};
-  const ShardedItemMemory sharded(packed, cfg);
-  EXPECT_TRUE(sharded.tiered_shards());
-  EXPECT_TRUE(sharded.exact());
-  for (std::size_t s = 0; s < sharded.shards(); ++s) {
-    ASSERT_NE(sharded.shard_tier(s), nullptr);
-    EXPECT_TRUE(sharded.shard_tier(s)->exact());
+  const auto view = PackedItemMemory::slice(packed, 5, 10);
+  EXPECT_EQ(view->size(), 10u);
+  EXPECT_EQ(view->dim(), packed->dim());
+  EXPECT_EQ(view->simd_level(), packed->simd_level());
+  for (const PackedQuery& q : make_queries(cb, 23)) {
+    std::vector<std::int64_t> full(packed->size());
+    std::vector<std::int64_t> part(view->size());
+    packed->dots(q, full);
+    view->dots(q, part);
+    EXPECT_TRUE(std::equal(part.begin(), part.end(), full.begin() + 5));
   }
-  expect_bit_identical(*packed, sharded, queries);
-
-  // ScanStats accumulate the summed per-shard costs: 4 shards x 4 centroids
-  // of centroid work, and (exact tiers) every row scanned exactly once.
-  TieredItemMemory::ScanStats stats{};
-  (void)sharded.best(queries[0], /*exact=*/false, &stats);
-  EXPECT_EQ(stats.centroid_dots, 16u);
-  EXPECT_EQ(stats.row_dots, 240u);
-
-  // The exact flag bypasses the tiers and accounts a plain full scan.
-  TieredItemMemory::ScanStats forced{};
-  const Match via_rows = sharded.best(queries[0], /*exact=*/true, &forced);
-  const Match via_tier = sharded.best(queries[0]);
-  EXPECT_EQ(via_rows.index, via_tier.index);
-  EXPECT_EQ(via_rows.similarity, via_tier.similarity);
-  EXPECT_EQ(forced.centroid_dots, 0u);
-  EXPECT_EQ(forced.row_dots, 240u);
-}
-
-TEST(ShardedMemory, SnapshotRoundTripAdoptsVerifiedShardsRejectsMismatched) {
-  Xoshiro256 rng(53);
-  const Codebook cb(256, 200, rng);
-  const auto packed = std::make_shared<const PackedItemMemory>(cb);
-  const std::vector<PackedQuery> queries = make_queries(cb, 17);
-  ShardedConfig cfg;
-  cfg.shards = 4;
-  cfg.tiered = TieredConfig{.clusters = 4, .nprobe = 200};
-  const ShardedItemMemory original(packed, cfg);
-  const std::string prefix = testing::TempDir() + "factorhd_sharded_idx";
-  EXPECT_EQ(kernels::sharded_shard_path(prefix, 2), prefix + ".shard2");
-  kernels::save_sharded_index(prefix, original);
-
-  // Round trip: every per-shard snapshot verifies against its slice of the
-  // codebook and is adopted in place of a fresh k-means build.
-  const auto snaps = kernels::load_sharded_index(prefix, 4);
-  ASSERT_EQ(snaps.size(), 4u);
-  const ShardedItemMemory reloaded(packed, cfg, snaps);
-  EXPECT_EQ(reloaded.snapshots_adopted(), 4u);
-  EXPECT_EQ(reloaded.snapshots_rejected(), 0u);
-  expect_bit_identical(*packed, reloaded, queries);
-
-  // Snapshot count must match the resolved shard count.
-  ShardedConfig three = cfg;
-  three.shards = 3;
-  EXPECT_THROW(ShardedItemMemory(packed, three, snaps), std::invalid_argument);
-
-  // Snapshots for a different codebook fail the plane verification shard by
-  // shard: all rejected, fresh tiers built, results still bit-identical.
-  Xoshiro256 other_rng(54);
-  const Codebook other_cb(256, 200, other_rng);
-  const auto other = std::make_shared<const PackedItemMemory>(other_cb);
-  const ShardedItemMemory mismatched(other, cfg, snaps);
-  EXPECT_EQ(mismatched.snapshots_adopted(), 0u);
-  EXPECT_EQ(mismatched.snapshots_rejected(), 4u);
-  EXPECT_TRUE(mismatched.tiered_shards());
-  expect_bit_identical(*other, mismatched, make_queries(other_cb, 19));
-
-  // A corrupt shard file throws at load — a sharded index can fail to
-  // load, but can never mis-scan.
-  const std::string victim = kernels::sharded_shard_path(prefix, 2);
-  std::string bytes;
-  {
-    std::ifstream is(victim, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(is),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), 100u);
-  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
-  {
-    std::ofstream os(victim, std::ios::binary | std::ios::trunc);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_THROW((void)kernels::load_sharded_index(prefix, 4),
-               std::runtime_error);
-
-  // Untiered shards have no index to persist.
-  ShardedConfig untiered;
-  untiered.shards = 4;
-  EXPECT_THROW(
-      kernels::save_sharded_index(prefix, ShardedItemMemory(packed, untiered)),
-      std::invalid_argument);
-  for (std::size_t s = 0; s < 4; ++s) {
-    std::remove(kernels::sharded_shard_path(prefix, s).c_str());
-  }
+  EXPECT_THROW((void)PackedItemMemory::slice(nullptr, 0, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)PackedItemMemory::slice(packed, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)PackedItemMemory::slice(packed, 15, 6),
+               std::invalid_argument);
+  EXPECT_THROW((void)PackedItemMemory::slice(packed, 21, 1),
+               std::invalid_argument);
 }
 
 TEST(ShardedMemory, RejectsMalformedQueriesAndOutputSpans) {
@@ -382,13 +292,12 @@ TEST(ShardedSoak, ConcurrentScattersAreRaceFreeAndBitIdentical) {
   // need a far larger build than a unit test should pay for.
   const auto packed = std::make_shared<const PackedItemMemory>(
       cb, SimdLevel::kScalarWords);
-  ShardedConfig exact_cfg;
-  exact_cfg.shards = 8;
-  const ShardedItemMemory exact(packed, exact_cfg);
-  ShardedConfig tiered_cfg;
-  tiered_cfg.shards = 5;
-  tiered_cfg.tiered = TieredConfig{.clusters = 8, .nprobe = 8192};
-  const ShardedItemMemory tiered(packed, tiered_cfg);
+  ShardedConfig eight_cfg;
+  eight_cfg.shards = 8;
+  const ShardedItemMemory eight(packed, eight_cfg);
+  ShardedConfig five_cfg;
+  five_cfg.shards = 5;
+  const ShardedItemMemory five(packed, five_cfg);
 
   // Single-threaded references, computed before any concurrency starts.
   std::vector<PackedQuery> queries;
@@ -414,7 +323,7 @@ TEST(ShardedSoak, ConcurrentScattersAreRaceFreeAndBitIdentical) {
     Xoshiro256 trng(seed);
     for (int iter = 0; iter < 8; ++iter) {
       const std::size_t qi = trng.uniform(queries.size());
-      const ShardedItemMemory& mem = (iter % 2 == 0) ? exact : tiered;
+      const ShardedItemMemory& mem = (iter % 2 == 0) ? eight : five;
       const Match b = mem.best(queries[qi]);
       if (b.index != ref_best[qi].index ||
           b.similarity != ref_best[qi].similarity) {
@@ -440,11 +349,14 @@ TEST(ShardedSoak, ConcurrentScattersAreRaceFreeAndBitIdentical) {
       }
     }
   };
-  std::vector<std::thread> clients;
-  for (std::size_t t = 0; t < 4; ++t) {
-    clients.emplace_back(client, 100 + t);
+  {
+    // jthreads join on scope exit, so a failing assertion below can never
+    // destroy a joinable thread.
+    std::vector<std::jthread> clients;
+    for (std::size_t t = 0; t < 4; ++t) {
+      clients.emplace_back(client, 100 + t);
+    }
   }
-  for (auto& t : clients) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
 }
 

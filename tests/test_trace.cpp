@@ -40,7 +40,6 @@ RequestTrace make_trace(std::uint64_t id) {
   t.batch_size = 4;
   t.shards = 1;
   t.rows_scanned = 1234;
-  t.probes = 12;
   t.rounds = 3;
   return t;
 }
@@ -51,7 +50,7 @@ std::set<std::uint64_t> sampled_ids(TraceRing& ring, std::size_t total,
                                     unsigned threads) {
   std::vector<std::set<std::uint64_t>> per_thread(threads);
   std::atomic<std::size_t> remaining{total};
-  std::vector<std::thread> pool;
+  std::vector<std::jthread> pool;
   pool.reserve(threads);
   for (unsigned w = 0; w < threads; ++w) {
     pool.emplace_back([&ring, &remaining, &per_thread, w] {
@@ -68,7 +67,7 @@ std::set<std::uint64_t> sampled_ids(TraceRing& ring, std::size_t total,
       }
     });
   }
-  for (std::thread& t : pool) t.join();
+  for (std::jthread& t : pool) t.join();
   std::set<std::uint64_t> all;
   for (const auto& s : per_thread) all.insert(s.begin(), s.end());
   return all;
@@ -138,7 +137,7 @@ TEST(TraceRing, ConcurrentRecordAndCollectNeverTearATrace) {
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 2000;
   std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
+  std::vector<std::jthread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&ring, w] {
@@ -147,7 +146,7 @@ TEST(TraceRing, ConcurrentRecordAndCollectNeverTearATrace) {
       }
     });
   }
-  std::thread reader([&ring, &stop] {
+  std::jthread reader([&ring, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
       for (const RequestTrace& t : ring.collect()) {
         // Payload fields travel together: a torn copy would show the
@@ -158,7 +157,7 @@ TEST(TraceRing, ConcurrentRecordAndCollectNeverTearATrace) {
       }
     }
   });
-  for (std::thread& t : writers) t.join();
+  for (std::jthread& t : writers) t.join();
   stop.store(true, std::memory_order_relaxed);
   reader.join();
   // Every record attempt is accounted for exactly once.

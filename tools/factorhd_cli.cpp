@@ -9,14 +9,6 @@
 //       prediction for comparison.
 //   demo      [--seed S]
 //       One end-to-end encode/factorize round trip, printed step by step.
-//   index build --model PATH [--out PATH] [--min-rows N] [--clusters K]
-//               [--nprobe P] [--threads T]
-//       Build the tiered scan indexes of a model file offline and persist
-//       them as a snapshot sidecar (default `PATH.tix`), so later loads
-//       skip the k-means build (service/model_snapshot.hpp).
-//   index info  --snapshot PATH
-//       Validate a snapshot (single FTS1 index or FTX1 sidecar) and print
-//       its geometry.
 //   info | version
 //       Build/version report: compiler and build flags, detected and
 //       dispatched SIMD scan tier, the observability configuration, the
@@ -44,9 +36,6 @@
 #include "core/factorhd.hpp"
 #include "hdc/kernels/sharded_item_memory.hpp"
 #include "hdc/kernels/simd.hpp"
-#include "hdc/kernels/tiered_item_memory.hpp"
-#include "hdc/kernels/tiered_snapshot.hpp"
-#include "service/model_snapshot.hpp"
 #include "service/service.hpp"
 #include "util/env.hpp"
 #include "util/table.hpp"
@@ -67,9 +56,6 @@ using namespace factorhd;
       "  capacity  --classes F --items M[,M2,...] [--target ACC]\n"
       "  calibrate --classes F --items M --objects N --dim D [--trials T]\n"
       "  demo      [--seed S]\n"
-      "  index build --model PATH [--out PATH] [--min-rows N]\n"
-      "              [--clusters K] [--nprobe P] [--threads T]\n"
-      "  index info  --snapshot PATH\n"
       "  info      (also: version) build flags, SIMD tiers, env knobs\n"
       "  trace     [--seed S] [--requests N] [--sample K] [--out PATH]\n"
       "            traced serving session -> Chrome trace-event JSON\n";
@@ -207,99 +193,6 @@ int cmd_demo(const std::map<std::string, std::string>& flags) {
   return ok ? 0 : 1;
 }
 
-// `index build` steers the tiered build through the same env knobs a
-// serving process would read, so the persisted index is exactly what that
-// process would have built itself (the adoption check verifies it anyway).
-void override_env(const std::map<std::string, std::string>& flags,
-                  const std::string& flag, const char* knob) {
-  const auto it = flags.find(flag);
-  if (it != flags.end()) ::setenv(knob, it->second.c_str(), 1);
-}
-
-int cmd_index_build(const std::map<std::string, std::string>& flags) {
-  const auto model_it = flags.find("model");
-  if (model_it == flags.end()) usage("index build requires --model PATH");
-  const std::string& model_path = model_it->second;
-  const std::string out = flags.count("out")
-                              ? flags.at("out")
-                              : service::model_snapshot_path(model_path);
-  override_env(flags, "min-rows", "FACTORHD_TIERED_MIN_ROWS");
-  override_env(flags, "clusters", "FACTORHD_TIERED_CLUSTERS");
-  override_env(flags, "nprobe", "FACTORHD_TIERED_NPROBE");
-  override_env(flags, "threads", "FACTORHD_TIERED_BUILD_THREADS");
-
-  util::Stopwatch sw;
-  auto model = service::Model::make("index-build",
-                                    tax::load_codebooks_file(model_path));
-  const double build_s = sw.elapsed_seconds();
-  const std::size_t records = service::save_model_snapshots(out, *model);
-
-  const core::TierSnapshots tiers = model->factorizer().tier_snapshots();
-  util::TextTable table({"class", "level", "rows", "clusters", "nprobe",
-                         "bytes"});
-  for (const auto& [key, tier] : tiers) {
-    table.add_row({std::to_string(key.first), std::to_string(key.second),
-                   std::to_string(tier->size()),
-                   std::to_string(tier->clusters()),
-                   std::to_string(tier->nprobe()),
-                   std::to_string(hdc::kernels::tiered_snapshot_bytes(*tier))});
-  }
-  table.print(std::cout);
-  std::cout << "\nbuilt " << records << " tier index"
-            << (records == 1 ? "" : "es") << " in "
-            << util::fmt_double(build_s, 2) << " s -> " << out << "\n";
-  if (records == 0) {
-    std::cout << "note: no codebook met the tiering threshold "
-                 "(FACTORHD_TIERED_MIN_ROWS / --min-rows); the sidecar is "
-                 "valid but empty\n";
-  }
-  return 0;
-}
-
-int cmd_index_info(const std::map<std::string, std::string>& flags) {
-  const auto it = flags.find("snapshot");
-  if (it == flags.end()) usage("index info requires --snapshot PATH");
-  const std::string& path = it->second;
-
-  util::TextTable table({"class", "level", "dim", "rows", "clusters",
-                         "nprobe", "layout", "bytes"});
-  // Route on the magic so a corrupt file of either format reports its own
-  // format's error instead of the other's "bad magic".
-  std::uint32_t magic = 0;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    probe.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!probe) throw std::runtime_error("cannot read '" + path + "'");
-  }
-  if (magic == 0x31535446) {  // 'FTS1': one bare tier index
-    const auto info = hdc::kernels::read_tiered_index_info(path);
-    table.add_row({"-", "-", std::to_string(info.dim),
-                   std::to_string(info.rows), std::to_string(info.clusters),
-                   std::to_string(info.nprobe),
-                   info.ternary ? "ternary" : "bipolar",
-                   std::to_string(info.total_bytes)});
-    table.print(std::cout);
-    std::cout << "\nok: FTS1 snapshot v" << info.version << "\n";
-    return 0;
-  }
-  const core::TierSnapshots tiers = service::load_model_snapshots(path);
-  for (const auto& [key, tier] : tiers) {
-    table.add_row({std::to_string(key.first), std::to_string(key.second),
-                   std::to_string(tier->dim()), std::to_string(tier->size()),
-                   std::to_string(tier->clusters()),
-                   std::to_string(tier->nprobe()),
-                   tier->rows().layout() ==
-                           hdc::kernels::PackedItemMemory::Layout::kTernary
-                       ? "ternary"
-                       : "bipolar",
-                   std::to_string(hdc::kernels::tiered_snapshot_bytes(*tier))});
-  }
-  table.print(std::cout);
-  std::cout << "\nok: FTX1 sidecar, " << tiers.size() << " record"
-            << (tiers.size() == 1 ? "" : "s") << " (all digests verified)\n";
-  return 0;
-}
-
 int cmd_info() {
   namespace hk = hdc::kernels;
   std::cout << "factorhd " << FACTORHD_VERSION_STRING << "\n"
@@ -328,23 +221,6 @@ int cmd_info() {
     first = false;
   }
   std::cout << "\n";
-
-  // Tiered (two-stage) scan configuration as the env knobs resolve it.
-  const std::size_t tier_min = hk::tiered_auto_min_rows();
-  const hk::TieredConfig tier_cfg = hk::tiered_config_from_env();
-  std::cout << "tiered scans:    ";
-  if (tier_min == 0) {
-    std::cout << "auto-tiering off (FACTORHD_TIERED_MIN_ROWS=0)";
-  } else {
-    std::cout << "auto at >= " << tier_min << " rows";
-  }
-  std::cout << ", clusters="
-            << (tier_cfg.clusters != 0 ? std::to_string(tier_cfg.clusters)
-                                       : std::string("auto(4*sqrt(M))"))
-            << ", nprobe="
-            << (tier_cfg.nprobe != 0 ? std::to_string(tier_cfg.nprobe)
-                                     : std::string("auto(K/16)"))
-            << "\n";
 
   // Scatter-gather shard configuration as the env knobs resolve it.
   const hk::ShardedConfig shard_cfg = hk::sharded_config_from_env();
@@ -486,19 +362,6 @@ int main(int argc, char** argv) {
   if (cmd == "info" || cmd == "version") {
     if (argc != 2) usage("info takes no options");
     return cmd_info();
-  }
-  if (cmd == "index") {
-    if (argc < 3) usage("index requires a subcommand (build | info)");
-    const std::string sub = argv[2];
-    const auto flags = parse_flags(argc, argv, 3);
-    try {
-      if (sub == "build") return cmd_index_build(flags);
-      if (sub == "info") return cmd_index_info(flags);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 1;
-    }
-    usage(("unknown index subcommand " + sub).c_str());
   }
   const auto flags = parse_flags(argc, argv, 2);
   if (cmd == "capacity") return cmd_capacity(flags);

@@ -34,9 +34,11 @@
 //                                            listening)
 //   stats prom [FILE]                        Prometheus text exposition (to
 //                                            FILE when given, else inline)
-//   stats reset                              zero the counters/histograms for
-//                                            a fresh epoch (engine keeps
-//                                            serving; trace ring untouched)
+//   stats reset                              start a fresh epoch: later `stats`
+//                                            and `stats prom` report counts
+//                                            since now (the engine's own
+//                                            counters never decrease; trace
+//                                            ring untouched)
 //   trace dump [FILE]                        sampled request traces as Chrome
 //                                            trace-event JSON (Perfetto /
 //                                            chrome://tracing loadable)
@@ -51,13 +53,13 @@
 #include <future>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/factorhd.hpp"
 #include "net/net.hpp"
-#include "service/model_snapshot.hpp"
 #include "service/service.hpp"
 #include "util/env.hpp"
 #include "util/table.hpp"
@@ -67,11 +69,21 @@ namespace {
 
 using namespace factorhd;
 
+/// Where the current `stats reset` epoch began. Engine counters only grow,
+/// so the stats views subtract these snapshots instead of clearing them.
+struct StatsBaseline {
+  service::MetricsSnapshot engine;
+  std::vector<service::MetricsSnapshot> dispatchers;
+};
+
 struct ServerState {
   util::Xoshiro256 rng{util::experiment_seed()};
   service::ModelRegistry registry;
   std::shared_ptr<const service::Model> model;
   std::unique_ptr<service::FactorizationEngine> engine;
+  /// Set by `stats reset`; cleared whenever `engine` is replaced (a new
+  /// engine starts its counters from zero).
+  std::optional<StatsBaseline> stats_baseline;
   /// TCP front end over `engine` (declared after it: destroyed — drained —
   /// first, so the engine it references is still alive).
   std::unique_ptr<net::NetServer> net_server;
@@ -161,31 +173,12 @@ void cmd_model(ServerState& st, const std::vector<std::string>& args,
     if (args[0] == "load") {
       auto m = st.registry.load_file(args[1], args[2]);
       os << "ok loaded " << args[1] << " (D=" << m->books().dim() << ", "
-         << m->num_classes() << " classes";
-      // Surface what the snapshot sidecar bought (or cost): adopted
-      // records skipped their k-means build, rejected ones were rebuilt.
-      const auto& f = m->factorizer();
-      if (f.snapshots_adopted() + f.snapshots_rejected() > 0) {
-        os << ", snapshots " << f.snapshots_adopted() << " adopted";
-        if (f.snapshots_rejected() > 0) {
-          os << " / " << f.snapshots_rejected() << " rejected";
-        }
-      }
-      os << ")\n";
+         << m->num_classes() << " classes)\n";
     } else {
       auto m = st.registry.get(args[1]);
       if (!m) throw std::invalid_argument("unknown model " + args[1]);
       tax::save_codebooks_file(args[2], m->books());
-      os << "ok saved " << args[1] << " to " << args[2];
-      // Persist the tier indexes alongside, so the next `model load` of
-      // this file starts in milliseconds instead of re-clustering.
-      if (m->factorizer().tiered()) {
-        const std::string sidecar = service::model_snapshot_path(args[2]);
-        const std::size_t n = service::save_model_snapshots(sidecar, *m);
-        os << " (+" << n << " tier snapshot" << (n == 1 ? "" : "s") << " -> "
-           << sidecar << ")";
-      }
-      os << "\n";
+      os << "ok saved " << args[1] << " to " << args[2] << "\n";
     }
     return;
   }
@@ -211,6 +204,7 @@ void cmd_serve(ServerState& st, const std::vector<std::string>& args,
   st.engine.reset();  // drain the previous engine
   st.model = m;
   st.engine = std::move(fresh);
+  st.stats_baseline.reset();
   os << "ok serving " << m->name() << " (max_batch=" << opts.max_batch
      << ", max_delay_us=" << opts.max_delay_us
      << ", cache=" << opts.cache_capacity
@@ -247,6 +241,7 @@ void cmd_reshard(ServerState& st, const std::vector<std::string>& args,
     st.engine.reset();  // drain the previous engine
     st.model = m;
     st.engine = std::move(fresh);
+    st.stats_baseline.reset();
     os << " (engine hot-swapped, dispatchers="
        << st.engine->options().dispatchers << ")"
        << (listener_stopped ? " (listener stopped - rerun `listen`)" : "");
@@ -410,15 +405,22 @@ void cmd_stats(ServerState& st, const std::vector<std::string>& args,
                std::ostream& os) {
   auto& engine = require_engine(st);
   if (!args.empty() && args[0] == "reset") {
-    engine.reset_metrics();
+    StatsBaseline baseline{engine.metrics(), {}};
+    for (const auto& d : engine.dispatcher_stats()) {
+      baseline.dispatchers.push_back(d.metrics);
+    }
+    st.stats_baseline = std::move(baseline);
     os << "ok stats reset\n";
     return;
   }
+  const auto& baseline = st.stats_baseline;
+  const service::MetricsSnapshot metrics =
+      baseline ? engine.metrics().since(baseline->engine) : engine.metrics();
   if (!args.empty() && args[0] == "prom") {
     if (args.size() > 2) {
       throw std::invalid_argument("usage: stats prom [FILE]");
     }
-    const std::string prom = engine.metrics().to_prometheus();
+    const std::string prom = metrics.to_prometheus();
     if (args.size() == 2) {
       std::ofstream out(args[1]);
       if (!out) throw std::invalid_argument("cannot open " + args[1]);
@@ -432,14 +434,15 @@ void cmd_stats(ServerState& st, const std::vector<std::string>& args,
   if (!args.empty()) {
     throw std::invalid_argument("usage: stats [prom [FILE] | reset]");
   }
-  os << engine.metrics().to_string() << "\n";
+  os << metrics.to_string() << "\n";
   const auto dispatchers = engine.dispatcher_stats();
   for (std::size_t i = 0; i < dispatchers.size(); ++i) {
     const auto& d = dispatchers[i];
-    os << "dispatcher[" << i << "]: " << d.metrics.batches
-       << " batches, mean " << util::fmt_double(d.metrics.mean_batch, 2)
-       << " req/batch, max " << d.metrics.max_batch_observed << ", inflight "
-       << d.inflight << "\n";
+    const service::MetricsSnapshot dm =
+        baseline ? d.metrics.since(baseline->dispatchers.at(i)) : d.metrics;
+    os << "dispatcher[" << i << "]: " << dm.batches << " batches, mean "
+       << util::fmt_double(dm.mean_batch, 2) << " req/batch, max "
+       << dm.max_batch_observed << ", inflight " << d.inflight << "\n";
   }
   const auto& ring = engine.trace_ring();
   os << "trace:    sample 1-in-" << ring.sample_every() << " ("
