@@ -158,6 +158,7 @@ Row run_open_loop(std::uint16_t port, const std::vector<hdc::Hypervector>& hot,
 void write_json(const std::string& path, bool smoke, std::size_t dim,
                 std::size_t items, std::size_t requests, double saturation_rps,
                 double hot_frac, std::uint64_t seed,
+                const service::ServiceOptions& eopts,
                 const net::ServerOptions& sopts, const std::vector<Row>& rows) {
   std::ofstream out(path);
   if (!out) {
@@ -175,7 +176,7 @@ void write_json(const std::string& path, bool smoke, std::size_t dim,
       << "    \"requests_per_row\": " << requests << ",\n"
       << "    \"saturation_rps\": " << fmt(saturation_rps) << ",\n"
       << "    \"hot_fraction\": " << fmt(hot_frac) << ",\n"
-      << "    \"admission_depth\": " << sopts.admission.depth << ",\n"
+      << "    \"admission_depth\": " << eopts.queue_capacity << ",\n"
       << "    \"client_quota\": " << sopts.admission.client_quota << ",\n"
       << "    \"seed\": " << seed << ",\n"
       << "    \"hardware_threads\": " << std::thread::hardware_concurrency()
@@ -234,14 +235,15 @@ int main(int argc, char** argv) {
       "bench", tax::TaxonomyCodebooks(taxonomy, dim, rng));
 
   // Engine tuned for serving (tiny flush deadline: latency, not batch
-  // formation, dominates) and an admission queue small enough that 4x
-  // overload must reject rather than buffer its way to timeouts.
-  service::FactorizationEngine engine(
-      model, service::ServiceOptions{.max_batch = 64,
-                                     .max_delay_us = 100,
-                                     .cache_capacity = 0});
+  // formation, dominates) and a request queue (the one depth bound behind
+  // the server) small enough that 4x overload must reject rather than
+  // buffer its way to timeouts.
+  const service::ServiceOptions eopts{.max_batch = 64,
+                                      .max_delay_us = 100,
+                                      .queue_capacity = 128,
+                                      .cache_capacity = 0};
+  service::FactorizationEngine engine(model, eopts);
   net::ServerOptions sopts;
-  sopts.admission.depth = 128;
   sopts.admission.client_quota = 64;
   net::NetServer server(engine, sopts);
   server.start();
@@ -255,7 +257,7 @@ int main(int argc, char** argv) {
 
   std::cout << "D=" << dim << ", F=3, M=" << items << ", " << requests
             << " requests/row, hot fraction " << hot_frac
-            << ", admission depth " << sopts.admission.depth << ", quota "
+            << ", queue capacity " << eopts.queue_capacity << ", quota "
             << sopts.admission.client_quota << " ("
             << server.poller_name() << ")\n\n";
 
@@ -325,7 +327,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     write_json(json_path, smoke, dim, items, requests, saturation_rps,
-               hot_frac, seed, sopts, rows);
+               hot_frac, seed, eopts, sopts, rows);
     std::cout << "\nwrote " << json_path << "\n";
   }
 

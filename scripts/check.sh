@@ -15,7 +15,8 @@
 #                             # threading suites (batch determinism, kernel
 #                             # fuzz, batch, service soak, sharded
 #                             # scatter-gather, metrics, trace ring,
-#                             # network faults) only
+#                             # network faults, service engine, network
+#                             # differential) only, each up to 20 times
 #
 # Extra arguments after the mode are forwarded to ctest.
 set -euo pipefail
@@ -46,10 +47,11 @@ case "${1:-}" in
     CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Debug -DFACTORHD_TSAN=ON -DFACTORHD_WERROR=ON)
     # The suites that exercise the worker pools (BatchFactorizer, the
     # parallel plane scans, the sharded
-    # scatter-gather, the serving engine, the wait-free metrics/trace
-    # plumbing, and the network front end's event loop + admission queue
-    # over real sockets); everything else is single-threaded.
-    CTEST_ARGS+=(-R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults')
+    # scatter-gather, the serving engine and its queue, the wait-free
+    # metrics/trace plumbing, and the network front end's event loop
+    # submitting to the engine over real sockets), each repeated until it
+    # fails, at most 20 times; everything else is single-threaded.
+    CTEST_ARGS+=(--repeat until-fail:20 -R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|ServiceEngineTest|NetDifferentialTest')
     ;;
 esac
 CTEST_ARGS+=("$@")

@@ -14,7 +14,6 @@
 //   // r is bit-identical to engine.submit(target, opts).get()
 #pragma once
 
-#include "net/admission.hpp"  // IWYU pragma: export
 #include "net/client.hpp"     // IWYU pragma: export
 #include "net/protocol.hpp"   // IWYU pragma: export
 #include "net/server.hpp"     // IWYU pragma: export

@@ -28,12 +28,8 @@ double us_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-std::uint64_t steady_us(std::chrono::steady_clock::time_point tp) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          tp.time_since_epoch())
-          .count());
-}
+/// The server whose event loop runs on this thread, if any.
+thread_local const NetServer* tls_loop_owner = nullptr;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -139,8 +135,6 @@ ServerOptions server_options_from_env() {
   ServerOptions opts;
   opts.port = static_cast<std::uint16_t>(
       util::env_size_t("FACTORHD_NET_PORT", 0, 0, 65535));
-  opts.admission.depth =
-      util::env_size_t("FACTORHD_NET_ADMISSION_DEPTH", 256, 1, 1u << 20);
   opts.admission.client_quota =
       util::env_size_t("FACTORHD_NET_CLIENT_QUOTA", 32, 1, 1u << 20);
   opts.idle_timeout_ms =
@@ -154,7 +148,7 @@ ServerOptions server_options_from_env() {
 }
 
 NetServer::NetServer(service::FactorizationEngine& engine, ServerOptions opts)
-    : engine_(engine), opts_(opts), admission_(opts.admission) {}
+    : engine_(engine), opts_(opts) {}
 
 NetServer::~NetServer() { stop(); }
 
@@ -213,7 +207,6 @@ void NetServer::start() {
   running_ = true;
   stopped_ = false;
   loop_thread_ = std::thread([this] { event_loop(); });
-  dispatcher_thread_ = std::thread([this] { dispatcher_loop(); });
 }
 
 void NetServer::stop() {
@@ -221,23 +214,17 @@ void NetServer::stop() {
   stopped_ = true;
 
   // 1. Refuse new work: no more accepts, factorize frames answered with
-  //    kShuttingDown, admission closed (queued tickets still drain).
-  draining_ = true;
-  admission_.stop();
-
-  // 2. The dispatcher exits once the admission queue is drained; every
-  //    admitted ticket is now with the engine (or its reject frame is in
-  //    the outbox).
-  dispatcher_thread_.join();
-
-  // 3. Wait for the engine to complete every dispatched ticket; all
+  //    kShuttingDown. Set under dispatched_mu_, so every submit either
+  //    counted itself in dispatched_ before this point or sees draining_.
+  // 2. Wait for the engine to complete every submitted request; all
   //    response bytes are in the outbox afterwards.
   {
     std::unique_lock lock(dispatched_mu_);
+    draining_ = true;
     dispatched_cv_.wait(lock, [this] { return dispatched_ == 0; });
   }
 
-  // 4. Let the loop flush: it exits once the outbox and every write buffer
+  // 3. Let the loop flush: it exits once the outbox and every write buffer
   //    are empty (bounded by a drain deadline so a stuck client cannot
   //    wedge shutdown).
   loop_exit_ = true;
@@ -263,6 +250,7 @@ void NetServer::wake_loop() {
 // ---------------------------------------------------------------------------
 
 void NetServer::event_loop() {
+  tls_loop_owner = this;
   std::vector<PollEvent> events;
   std::chrono::steady_clock::time_point drain_deadline{};
   bool drain_armed = false;
@@ -318,6 +306,7 @@ void NetServer::event_loop() {
   ids.reserve(conns_.size());
   for (const auto& [id, conn] : conns_) ids.push_back(id);
   for (const std::uint64_t id : ids) close_connection(id, nullptr);
+  tls_loop_owner = nullptr;
 }
 
 void NetServer::accept_ready() {
@@ -338,8 +327,7 @@ void NetServer::accept_ready() {
     conns_.emplace(id, std::move(conn));
     fd_to_id_[fd] = id;
     poller_->add(fd, false);
-    std::lock_guard lock(counters_mu_);
-    ++counters_.connections_accepted;
+    accepted_.bump();
   }
 }
 
@@ -363,10 +351,7 @@ void NetServer::handle_readable(Connection& conn) {
         // connection itself (write-buffer overflow), so nothing may touch
         // `conn` after the call.
         conn.close_after_flush = true;
-        {
-          std::lock_guard lock(counters_mu_);
-          ++counters_.disconnects_protocol;
-        }
+        protocol_.bump();
         append_response(
             conn, encode_frame(Opcode::kError, 0, 0,
                                encode_error(ErrorCode::kBadFrame, e.what())));
@@ -393,10 +378,7 @@ void NetServer::handle_frame(Connection& conn, Frame&& frame,
                              std::chrono::steady_clock::time_point read_start) {
   const auto now = std::chrono::steady_clock::now();
   conn.last_progress = now;  // a complete frame is protocol progress
-  {
-    std::lock_guard lock(counters_mu_);
-    ++counters_.frames_in;
-  }
+  frames_in_.bump();
   const std::uint64_t rid = frame.header.request_id;
   const std::uint8_t raw_op = frame.header.opcode;
   const auto reply = [&](Opcode op, std::uint8_t flags,
@@ -432,6 +414,25 @@ void NetServer::handle_frame(Connection& conn, Frame&& frame,
       return;  // unreachable: filtered above
   }
 
+  // Shed from the header: a draining server or an exhausted quota answers
+  // before the payload is decoded, so a burst past the quota costs no decode.
+  if (draining_) {
+    reply(Opcode::kError, 0,
+          encode_error(ErrorCode::kShuttingDown, "server draining"));
+    return;
+  }
+  if (conn.in_flight >= opts_.admission.client_quota) {
+    rejected_quota_.bump();
+    net_metrics_.on_rejected();
+    OverloadInfo info;
+    info.code = OverloadCode::kQuotaExceeded;
+    info.queue_depth = static_cast<std::uint32_t>(engine_.queue_depth());
+    info.limit = static_cast<std::uint32_t>(opts_.admission.client_quota);
+    info.detail = "per-client in-flight quota exhausted";
+    reply(Opcode::kOverload, 0, encode_overload(info));
+    return;
+  }
+
   FactorizeRequest request;
   try {
     request = decode_factorize_request(frame.payload);
@@ -451,63 +452,74 @@ void NetServer::handle_frame(Connection& conn, Frame&& frame,
                            " != model dim " + std::to_string(model_dim)));
     return;
   }
-  if (draining_) {
-    reply(Opcode::kError, 0,
-          encode_error(ErrorCode::kShuttingDown, "server draining"));
+  submit(conn, {conn.id, rid, (frame.header.flags & kFlagStream) != 0, now},
+         std::move(request));
+}
+
+void NetServer::submit(Connection& conn, const ReplyTo& to,
+                       FactorizeRequest&& request) {
+  bool refused;
+  {
+    // One critical section with stop()'s flip of draining_: stop() cannot
+    // see dispatched_ == 0 while this submit is under way.
+    std::lock_guard lock(dispatched_mu_);
+    refused = draining_;
+    if (!refused) ++dispatched_;
+  }
+  if (refused) {
+    append_response(conn, encode_frame(Opcode::kError, 0, to.request_id,
+                                       encode_error(ErrorCode::kShuttingDown,
+                                                    "server draining")));
     return;
   }
-
-  Ticket ticket;
-  ticket.reply = {conn.id, rid, (frame.header.flags & kFlagStream) != 0, now};
   const std::uint32_t hint = request.deadline_hint_us != 0
                                  ? request.deadline_hint_us
                                  : opts_.default_deadline_us;
-  ticket.deadline_us = steady_us(now) + hint;
-  ticket.request = std::move(request);
-
-  switch (admission_.try_admit(std::move(ticket))) {
-    case Admit::kAdmitted:
-      net_metrics_.on_submitted();
-      return;  // the dispatcher takes it from here
-    case Admit::kQueueFull: {
-      net_metrics_.on_rejected();
-      OverloadInfo info;
-      info.code = OverloadCode::kQueueFull;
-      info.queue_depth = static_cast<std::uint32_t>(admission_.size());
-      info.limit = static_cast<std::uint32_t>(opts_.admission.depth);
-      info.detail = "admission queue full";
-      reply(Opcode::kOverload, 0, encode_overload(info));
-      return;
-    }
-    case Admit::kQuotaExceeded: {
-      net_metrics_.on_rejected();
-      OverloadInfo info;
-      info.code = OverloadCode::kQuotaExceeded;
-      info.queue_depth = static_cast<std::uint32_t>(admission_.size());
-      info.limit = static_cast<std::uint32_t>(opts_.admission.client_quota);
-      info.detail = "per-client in-flight quota exhausted";
-      reply(Opcode::kOverload, 0, encode_overload(info));
-      return;
-    }
-    case Admit::kShuttingDown:
-      reply(Opcode::kError, 0,
-            encode_error(ErrorCode::kShuttingDown, "server draining"));
-      return;
+  const service::SubmitStatus status = engine_.try_submit(
+      std::move(request.target), request.opts,
+      to.arrival + std::chrono::microseconds(hint),
+      [this, to](std::exception_ptr error,
+                 const core::FactorizeResult& result) {
+        complete(to, std::move(error), result);
+      });
+  net_metrics_.on_stage(
+      service::Stage::kAdmission,
+      us_between(to.arrival, std::chrono::steady_clock::now()));
+  if (status == service::SubmitStatus::kQueueFull) {
+    end_dispatch();
+    rejected_full_.bump();
+    net_metrics_.on_rejected();
+    OverloadInfo info;
+    info.code = OverloadCode::kQueueFull;
+    info.limit =
+        static_cast<std::uint32_t>(engine_.options().queue_capacity);
+    info.queue_depth = info.limit;  // full
+    info.detail = "engine queue full";
+    append_response(conn, encode_frame(Opcode::kOverload, 0, to.request_id,
+                                       encode_overload(info)));
+    return;
+  }
+  // Accepted, or refused by a stopped engine: either way the response comes
+  // through complete() and the outbox, which releases the quota slot.
+  ++conn.in_flight;
+  admitted_.bump();
+  net_metrics_.on_submitted();
+  if (status == service::SubmitStatus::kStopped) {
+    complete(to,
+             std::make_exception_ptr(
+                 service::EngineStoppedError("engine is stopped")),
+             core::FactorizeResult{});
   }
 }
 
 void NetServer::append_response(Connection& conn,
                                 std::span<const std::uint8_t> bytes) {
   conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
-  {
-    std::lock_guard lock(counters_mu_);
-    ++counters_.frames_out;
-  }
+  frames_out_.bump();
   if (conn.write_buf.size() - conn.write_off > opts_.write_buffer_limit) {
     // Slow reader: responses are piling up faster than the client drains
     // them. Cut the connection instead of buffering unboundedly.
-    std::uint64_t* counter = &counters_.disconnects_overflow;
-    close_connection(conn.id, counter);
+    close_connection(conn.id, &overflow_);
     return;
   }
   flush_writes(conn);
@@ -555,15 +567,19 @@ void NetServer::drain_outbox() {
   for (Outgoing& out : local) {
     const auto now = std::chrono::steady_clock::now();
     const auto it = conns_.find(out.client_id);
-    if (it == conns_.end() || it->second.close_after_flush) {
-      std::lock_guard lock(counters_mu_);
-      ++counters_.responses_dropped;
+    if (it == conns_.end()) {
+      dropped_.bump();  // its quota count went with the connection
     } else {
-      append_response(it->second, out.bytes);
+      // In-flight ends here whether the bytes are buffered or dropped — the
+      // exactly-once release point of the quota. Released before
+      // append_response, which may close the connection.
+      --it->second.in_flight;
+      if (it->second.close_after_flush) {
+        dropped_.bump();
+      } else {
+        append_response(it->second, out.bytes);
+      }
     }
-    // In-flight ends here whether the bytes were buffered or dropped — the
-    // exactly-once release point of the admission quota.
-    admission_.on_complete(out.client_id);
     net_metrics_.on_stage(service::Stage::kNetWrite,
                           us_between(out.ready, now));
     net_metrics_.on_completed(us_between(out.arrival, now));
@@ -578,11 +594,11 @@ void NetServer::check_timeouts() {
     if (now - conn.last_progress > limit) expired.push_back(id);
   }
   for (const std::uint64_t id : expired) {
-    close_connection(id, &counters_.disconnects_idle);
+    close_connection(id, &idle_);
   }
 }
 
-void NetServer::close_connection(std::uint64_t id, std::uint64_t* counter) {
+void NetServer::close_connection(std::uint64_t id, LoopCounter* counter) {
   const auto it = conns_.find(id);
   if (it == conns_.end()) return;
   const int fd = it->second.fd;
@@ -590,38 +606,13 @@ void NetServer::close_connection(std::uint64_t id, std::uint64_t* counter) {
   ::close(fd);
   fd_to_id_.erase(fd);
   conns_.erase(it);
-  std::lock_guard lock(counters_mu_);
-  ++counters_.connections_closed;
-  if (counter != nullptr) ++*counter;
+  closed_.bump();
+  if (counter != nullptr) counter->bump();
 }
 
 // ---------------------------------------------------------------------------
-// Dispatcher + the completion path
+// The completion path
 // ---------------------------------------------------------------------------
-
-void NetServer::dispatcher_loop() {
-  Ticket ticket;
-  while (admission_.pop(ticket)) {
-    const ReplyTo to = ticket.reply;
-    net_metrics_.on_stage(
-        service::Stage::kAdmission,
-        us_between(to.arrival, std::chrono::steady_clock::now()));
-    {
-      std::lock_guard lock(dispatched_mu_);
-      ++dispatched_;
-    }
-    try {
-      engine_.submit(std::move(ticket.request.target), ticket.request.opts,
-                     [this, to](std::exception_ptr error,
-                                const core::FactorizeResult& result) {
-                       complete(to, std::move(error), result);
-                     });
-    } catch (...) {
-      // Refused before it was accepted: the engine will not call back.
-      complete(to, std::current_exception(), core::FactorizeResult{});
-    }
-  }
-}
 
 void NetServer::complete(const ReplyTo& to, std::exception_ptr error,
                          const core::FactorizeResult& result) {
@@ -633,13 +624,6 @@ void NetServer::complete(const ReplyTo& to, std::exception_ptr error,
   if (error) {
     try {
       std::rethrow_exception(error);
-    } catch (const service::QueueFullError&) {
-      OverloadInfo info;
-      info.code = OverloadCode::kQueueFull;
-      info.limit = static_cast<std::uint32_t>(opts_.admission.depth);
-      info.detail = "engine queue full";
-      out.bytes =
-          encode_frame(Opcode::kOverload, 0, rid, encode_overload(info));
     } catch (const service::EngineStoppedError& e) {
       out.bytes = encode_frame(
           Opcode::kError, 0, rid,
@@ -669,9 +653,15 @@ void NetServer::complete(const ReplyTo& to, std::exception_ptr error,
     std::lock_guard lock(outbox_mu_);
     outbox_.push_back(std::move(out));
   }
-  wake_loop();
+  // On the loop thread (a cache hit) the loop drains the outbox before it
+  // polls again; only other threads need the self-pipe.
+  if (tls_loop_owner != this) wake_loop();
   // Last: once the count reaches zero stop() may return and destroy the
-  // server, so nothing below this lock may touch `this`.
+  // server, so nothing after this call may touch `this`.
+  end_dispatch();
+}
+
+void NetServer::end_dispatch() {
   std::lock_guard lock(dispatched_mu_);
   if (--dispatched_ == 0) dispatched_cv_.notify_all();
 }
@@ -681,14 +671,27 @@ void NetServer::complete(const ReplyTo& to, std::exception_ptr error,
 // ---------------------------------------------------------------------------
 
 ServerCounters NetServer::counters() const {
-  std::lock_guard lock(counters_mu_);
-  return counters_;
+  ServerCounters c;
+  c.connections_accepted = accepted_.get();
+  c.connections_closed = closed_.get();
+  c.disconnects_idle = idle_.get();
+  c.disconnects_protocol = protocol_.get();
+  c.disconnects_overflow = overflow_.get();
+  c.frames_in = frames_in_.get();
+  c.frames_out = frames_out_.get();
+  c.responses_dropped = dropped_.get();
+  return c;
+}
+
+AdmissionStats NetServer::admission_stats() const {
+  return {admitted_.get(), rejected_full_.get(), rejected_quota_.get()};
 }
 
 std::string NetServer::stats_text() const {
   const ServerCounters c = counters();
-  const AdmissionStats a = admission_.stats();
-  const service::MetricsSnapshot net = net_metrics_.snapshot(admission_.size());
+  const AdmissionStats a = admission_stats();
+  const std::size_t queued = engine_.queue_depth();
+  const service::MetricsSnapshot net = net_metrics_.snapshot(queued);
   std::ostringstream os;
   os << "net:       " << c.connections_accepted << " accepted, "
      << c.connections_closed << " closed (" << c.disconnects_idle
@@ -698,7 +701,7 @@ std::string NetServer::stats_text() const {
      << " frames out, " << c.responses_dropped << " responses dropped\n"
      << "admission: " << a.admitted << " admitted, " << a.rejected_full
      << " queue-full rejects, " << a.rejected_quota << " quota rejects, "
-     << admission_.size() << " queued";
+     << queued << " queued in the engine";
   for (const service::Stage stage :
        {service::Stage::kNetRead, service::Stage::kAdmission,
         service::Stage::kNetWrite}) {

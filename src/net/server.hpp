@@ -4,29 +4,30 @@
 //
 //                    event-loop thread (epoll, poll fallback)
 //   accept ──► per-connection FrameParser ──► ping/stats answered inline
-//                       │ factorize frame           ▲
-//                       ▼                           │ write buffers,
-//              AdmissionQueue (bounded min-heap,    │ timeouts,
-//              oldest-deadline-first, per-client    │ outbox drain
-//              quotas; rejects => overload frames)  │
-//                       │ pop (dispatcher thread)   │
-//                       ▼                           │
-//              engine.submit(target, opts, callback)│
-//                       │                           │
-//                       ▼                           │
-//              callback (cache hit: inline on the dispatcher; computed:
-//              on the engine's batcher): serialize kPartial*/kResult
-//              frames, push to the outbox, wake the loop
+//                       │ factorize frame              ▲
+//                       ▼                              │ write buffers,
+//              shed from the header: draining ──►      │ timeouts,
+//              kShuttingDown, client over quota ──►    │ outbox drain
+//              kOverload (no payload decode)           │
+//                       │ decode, dim check            │
+//                       ▼                              │
+//              engine.try_submit(target, opts, arrival + deadline hint,
+//                       │        callback)    full ──► kOverload (queue)
+//                       ▼                              │
+//              callback (cache hit: inline on the loop, written in the same
+//              iteration; computed: on the engine's batcher): serialize
+//              kPartial*/kResult frames, push to the outbox, wake the loop
 //
-// Concurrency shape: exactly one event-loop thread owns every socket and
-// all connection state — no locks on the read/write paths. Work crosses
-// threads only through the AdmissionQueue (loop → dispatcher) and the
-// outbox (engine completion callbacks → loop, woken via a self-pipe). No
-// thread ever blocks waiting for a result, so a fast request (a cache hit)
-// is never queued behind a slow one. Per-client in-flight quotas are
-// charged at admission and released on the loop thread when the response
-// bytes reach the client's write buffer (or are dropped because the client
-// vanished), so every admitted ticket releases exactly once.
+// Concurrency shape: exactly one thread, the event loop, owns every socket,
+// all connection state and the per-client quota counts — no locks on the
+// read/write paths. Work crosses threads in two places only: the engine's
+// queue (loop → batcher) and the outbox (batcher completion callbacks →
+// loop, woken via a self-pipe). No thread ever blocks waiting for a result,
+// so a fast request (a cache hit) is never queued behind a slow one. A
+// request's quota slot is charged when the engine takes it and released on
+// the loop thread when the response bytes reach the client's write buffer
+// (or are dropped because the client vanished), so every admitted request
+// releases exactly once.
 //
 // Robustness: bounded read buffers (FrameParser's max_payload), bounded
 // write buffers (slow readers are disconnected at the limit), and an idle
@@ -36,11 +37,13 @@
 // exercises all three over real sockets under TSan.
 //
 // Latency attribution: the server owns a service::Metrics set recording
-// Stage::kNetRead / kAdmission / kNetWrite plus end-to-end completions, so
-// network time is attributed exactly like the engine's pipeline stages.
+// Stage::kNetRead / kAdmission (frame parsed → engine submit returned) /
+// kNetWrite plus end-to-end completions, so network time is attributed
+// exactly like the engine's pipeline stages.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -50,7 +53,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/admission.hpp"
 #include "net/protocol.hpp"
 #include "service/engine.hpp"
 #include "service/metrics.hpp"
@@ -84,12 +86,27 @@ class Poller {
 /// \param prefer_epoll False forces the poll(2) implementation.
 [[nodiscard]] std::unique_ptr<Poller> make_poller(bool prefer_epoll);
 
+/// Admission bound of the net front end. The queue-depth bound is the
+/// engine's (ServiceOptions::queue_capacity): a full engine queue answers
+/// kOverload / OverloadCode::kQueueFull.
+struct AdmissionConfig {
+  /// Factorize requests one connection may have in flight (submitted, not
+  /// yet answered); past it: kOverload / OverloadCode::kQuotaExceeded, so
+  /// one pipelining-happy client cannot starve the rest.
+  std::size_t client_quota = 32;
+};
+
+struct AdmissionStats {
+  std::uint64_t admitted = 0;
+  std::uint64_t rejected_full = 0;
+  std::uint64_t rejected_quota = 0;
+};
+
 struct ServerOptions {
   /// TCP port to bind on 127.0.0.1; 0 asks the kernel for an ephemeral
   /// port (read it back from NetServer::port()). Env: FACTORHD_NET_PORT.
   std::uint16_t port = 0;
-  /// Admission bounds. Env: FACTORHD_NET_ADMISSION_DEPTH /
-  /// FACTORHD_NET_CLIENT_QUOTA.
+  /// Per-client quota. Env: FACTORHD_NET_CLIENT_QUOTA.
   AdmissionConfig admission{};
   /// Disconnect a connection making no protocol progress (no complete
   /// frame parsed, no response bytes flushed) for this long.
@@ -100,7 +117,7 @@ struct ServerOptions {
   /// Per-connection write-buffer bound; a client not draining its
   /// responses is disconnected here. Env: FACTORHD_NET_WRITE_BUF.
   std::size_t write_buffer_limit = 8u << 20;
-  /// Admission deadline applied when a request carries no hint (us).
+  /// Engine-queue deadline applied when a request carries no hint (us).
   std::uint32_t default_deadline_us = 1'000'000;
   /// False selects poll(2) even where epoll is available.
   /// Env: FACTORHD_NET_POLLER (epoll | poll).
@@ -134,14 +151,14 @@ class NetServer {
   NetServer(const NetServer&) = delete;
   NetServer& operator=(const NetServer&) = delete;
 
-  /// Binds, listens, and starts the event-loop and dispatcher threads.
+  /// Binds, listens, and starts the event-loop thread.
   /// \throws std::runtime_error On socket/bind/listen failure.
   void start();
 
   /// Graceful drain: stop accepting, reject new factorize frames with
-  /// kShuttingDown, dispatch every already-admitted ticket, wait for the
-  /// in-flight responses, flush write buffers, then join all threads.
-  /// Idempotent.
+  /// kShuttingDown, wait for every submitted request's response, flush
+  /// write buffers, then join the loop thread. Never returns while the loop
+  /// is inside an engine submit. Idempotent.
   void stop();
 
   /// \return The bound TCP port (after start()).
@@ -151,12 +168,10 @@ class NetServer {
   [[nodiscard]] const char* poller_name() const noexcept;
 
   [[nodiscard]] ServerCounters counters() const;
-  [[nodiscard]] AdmissionStats admission_stats() const {
-    return admission_.stats();
-  }
+  [[nodiscard]] AdmissionStats admission_stats() const;
   /// Net-side stage latencies (kNetRead/kAdmission/kNetWrite) + completions.
   [[nodiscard]] service::MetricsSnapshot net_metrics() const {
-    return net_metrics_.snapshot(admission_.size());
+    return net_metrics_.snapshot(engine_.queue_depth());
   }
   /// Human-readable net section appended to the serve tool's `stats`.
   [[nodiscard]] std::string stats_text() const;
@@ -172,23 +187,48 @@ class NetServer {
     std::chrono::steady_clock::time_point last_progress;
     bool close_after_flush = false;
     bool want_write = false;  ///< current poller registration
+    std::size_t in_flight = 0;  ///< submitted, unanswered (the quota count)
 
     explicit Connection(std::size_t max_frame) : parser(max_frame) {}
   };
 
+  /// Where a submitted request's response goes; small enough to copy into
+  /// an engine callback.
+  struct ReplyTo {
+    std::uint64_t client_id = 0;   ///< server-assigned connection identity
+    std::uint64_t request_id = 0;  ///< wire request id (echoed on responses)
+    bool stream = false;           ///< client asked for kPartial streaming
+    /// Frame fully parsed — start of the admission stage.
+    std::chrono::steady_clock::time_point arrival{};
+  };
+
   /// Response bytes crossing from an engine completion back to the loop
-  /// thread. Appending (or dropping) one releases its admission slot.
+  /// thread. Appending (or dropping) one releases its quota slot.
   struct Outgoing {
     std::uint64_t client_id = 0;
     std::vector<std::uint8_t> bytes;
     /// Engine-completion time — start of the kNetWrite stage.
     std::chrono::steady_clock::time_point ready{};
-    /// Ticket arrival time — end-to-end completion is measured from here.
+    /// Request arrival time — end-to-end completion is measured from here.
     std::chrono::steady_clock::time_point arrival{};
   };
 
+  /// A counter only the loop thread writes; other threads read it relaxed.
+  class LoopCounter {
+   public:
+    void bump() noexcept {
+      v_.store(v_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+    }
+    [[nodiscard]] std::uint64_t get() const noexcept {
+      return v_.load(std::memory_order_relaxed);
+    }
+
+   private:
+    std::atomic<std::uint64_t> v_{0};
+  };
+
   void event_loop();
-  void dispatcher_loop();
 
   void accept_ready();
   void handle_readable(Connection& conn);
@@ -198,18 +238,21 @@ class NetServer {
   void append_response(Connection& conn, std::span<const std::uint8_t> bytes);
   void drain_outbox();
   void check_timeouts();
-  void close_connection(std::uint64_t id, std::uint64_t* counter);
+  void close_connection(std::uint64_t id, LoopCounter* counter);
   void update_poll_interest(Connection& conn);
   void wake_loop();
-  /// The one completion path of a dispatched ticket — engine result, failed
-  /// flight, or a submit the engine refused: encodes the response, hands
-  /// it to the loop, and ends the dispatch (see stop()).
+  /// Submits a decoded factorize request to the engine, or answers it.
+  void submit(Connection& conn, const ReplyTo& to, FactorizeRequest&& request);
+  /// The one completion path of a submitted request — engine result, failed
+  /// flight, or a stopped engine: encodes the response, hands it to the
+  /// loop, and ends the dispatch (see stop()).
   void complete(const ReplyTo& to, std::exception_ptr error,
                 const core::FactorizeResult& result);
+  /// Ends one dispatch; the last one lets a waiting stop() proceed.
+  void end_dispatch();
 
   service::FactorizationEngine& engine_;
   ServerOptions opts_;
-  AdmissionQueue admission_;
   service::Metrics net_metrics_;
 
   int listen_fd_ = -1;
@@ -223,17 +266,21 @@ class NetServer {
   std::unordered_map<int, std::uint64_t> fd_to_id_;
   std::uint64_t next_client_id_ = 1;
 
+  // Loop-written counters (ServerCounters + AdmissionStats).
+  LoopCounter accepted_, closed_, idle_, protocol_, overflow_;
+  LoopCounter frames_in_, frames_out_, dropped_;
+  LoopCounter admitted_, rejected_full_, rejected_quota_;
+
   // Cross-thread state.
   mutable std::mutex outbox_mu_;
   std::vector<Outgoing> outbox_;
-  /// Tickets handed to the engine whose completion has not run yet; stop()
-  /// waits for zero before letting the loop flush and exit.
+  /// Requests handed to the engine whose completion has not run yet; stop()
+  /// waits for zero before letting the loop flush and exit. draining_ is
+  /// set under the same mutex, so the loop's draining_ check and its
+  /// increment form one critical section against stop().
   std::mutex dispatched_mu_;
   std::condition_variable dispatched_cv_;
   std::size_t dispatched_ = 0;
-
-  mutable std::mutex counters_mu_;
-  ServerCounters counters_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> loop_exit_{false};
@@ -241,7 +288,6 @@ class NetServer {
   bool stopped_ = false;
 
   std::thread loop_thread_;
-  std::thread dispatcher_thread_;
 };
 
 }  // namespace factorhd::net

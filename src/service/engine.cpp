@@ -88,6 +88,29 @@ std::future<core::FactorizeResult> FactorizationEngine::submit(
 void FactorizationEngine::submit(hdc::Hypervector target,
                                  core::FactorizeOptions opts,
                                  Completion done) {
+  switch (enqueue(std::move(target), std::move(opts),
+                  std::chrono::steady_clock::now(), std::move(done),
+                  !opts_.reject_when_full)) {
+    case SubmitStatus::kAccepted:
+      return;
+    case SubmitStatus::kQueueFull:
+      throw QueueFullError();
+    case SubmitStatus::kStopped:
+      throw EngineStoppedError("engine is stopped");
+  }
+}
+
+SubmitStatus FactorizationEngine::try_submit(
+    hdc::Hypervector target, core::FactorizeOptions opts,
+    std::chrono::steady_clock::time_point deadline, Completion done) {
+  return enqueue(std::move(target), std::move(opts), deadline,
+                 std::move(done), false);
+}
+
+SubmitStatus FactorizationEngine::enqueue(
+    hdc::Hypervector target, core::FactorizeOptions opts,
+    std::chrono::steady_clock::time_point deadline, Completion done,
+    bool block) {
   if (target.dim() != model_->books().dim()) {
     throw std::invalid_argument(
         "FactorizationEngine::submit: target dimension " +
@@ -98,9 +121,7 @@ void FactorizationEngine::submit(hdc::Hypervector target,
     // Checked before the cache probe too: a stopped engine must refuse
     // every submit, including ones the cache could answer.
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      throw EngineStoppedError("engine is stopped");
-    }
+    if (stopping_) return SubmitStatus::kStopped;
   }
   const auto start = std::chrono::steady_clock::now();
   // Every request claims an id from the global sequence when observability
@@ -137,7 +158,7 @@ void FactorizationEngine::submit(hdc::Hypervector target,
       t.rounds = hit->rounds;
       trace_ring_.record(t);
     }
-    return;
+    return SubmitStatus::kAccepted;
   }
   const auto cache_done = std::chrono::steady_clock::now();
 
@@ -150,29 +171,25 @@ void FactorizationEngine::submit(hdc::Hypervector target,
   req.cache_done = cache_done;
   req.trace_id = trace_id;
   req.traced = traced;
+  req.deadline = deadline;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (stopping_) {
-      throw EngineStoppedError("engine is stopped");
-    }
-    if (queue_.size() >= opts_.queue_capacity) {
-      if (opts_.reject_when_full) {
-        metrics_.on_rejected();
-        throw QueueFullError();
-      }
+    if (block) {
       queue_space_.wait(lock, [this] {
         return stopping_ || queue_.size() < opts_.queue_capacity;
       });
-      if (stopping_) {
-        // The wakeup came from stop(), not from freed space: the request
-        // was never enqueued and will never complete.
-        throw EngineStoppedError(
-            "engine stopped while this request was blocked on backpressure "
-            "(request was never enqueued)");
-      }
+    }
+    // stop() began since the first check, or woke a blocked submit: the
+    // request was never enqueued.
+    if (stopping_) return SubmitStatus::kStopped;
+    if (queue_.size() >= opts_.queue_capacity) {
+      metrics_.on_rejected();
+      return SubmitStatus::kQueueFull;
     }
     req.enqueued = std::chrono::steady_clock::now();
+    req.seq = next_seq_++;
     queue_.push_back(std::move(req));
+    std::push_heap(queue_.begin(), queue_.end(), later);
     // Counted while still holding the queue lock: the batcher cannot pop
     // (and thus complete) this request before the lock is released, so a
     // concurrent metrics snapshot never observes completed > submitted.
@@ -181,6 +198,7 @@ void FactorizationEngine::submit(hdc::Hypervector target,
     metrics_.on_stage(Stage::kCacheLookup, us_between(start, cache_done));
   }
   queue_ready_.notify_one();
+  return SubmitStatus::kAccepted;
 }
 
 std::vector<FactorizationEngine::Request> FactorizationEngine::next_flight() {
@@ -189,9 +207,9 @@ std::vector<FactorizationEngine::Request> FactorizationEngine::next_flight() {
     queue_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
     if (queue_.empty()) return {};  // stopping and fully drained
 
-    // Dynamic micro-batching: give late arrivals a chance to coalesce, but
-    // never hold the oldest request past its max_delay_us budget. While
-    // draining a shutdown there is nothing to wait for.
+    // With max_delay_us > 0, give late arrivals a chance to coalesce, but
+    // hold the request at the head of the heap no longer than that past its
+    // submit. While draining a shutdown there is nothing to wait for.
     if (queue_.size() < opts_.max_batch && opts_.max_delay_us > 0 &&
         !stopping_) {
       const auto deadline = queue_.front().submitted +
@@ -207,8 +225,9 @@ std::vector<FactorizationEngine::Request> FactorizationEngine::next_flight() {
     std::vector<Request> flight;
     flight.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      flight.push_back(std::move(queue_.front()));
-      queue_.pop_front();
+      std::pop_heap(queue_.begin(), queue_.end(), later);
+      flight.push_back(std::move(queue_.back()));
+      queue_.pop_back();
     }
     lock.unlock();
     queue_space_.notify_all();

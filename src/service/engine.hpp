@@ -1,14 +1,20 @@
 // FactorizationEngine: the asynchronous serving runtime over a Model.
 //
-//   submit(target, opts, done) ──► ResultCache probe ──hit──► done(result)
-//        │ miss                                               on the caller
-//        ▼
-//   bounded MPMC queue  (backpressure: block or reject)
+//   submit(target, opts, done)                deadline = submit time
+//   try_submit(target, opts, deadline, done)  never blocks
 //        │
 //        ▼
-//   micro-batcher thread: flush on max_batch or max_delay_us
-//        │  group by identical FactorizeOptions,
-//        │  coalesce duplicate targets within the flight
+//   ResultCache probe ──hit──► done(result) inline on the caller
+//        │ miss
+//        ▼
+//   bounded min-heap on (deadline, submit seq): earliest deadline first,
+//        │  FIFO among equal deadlines. Full: submit() blocks or throws
+//        │  (reject_when_full); try_submit() reports kQueueFull.
+//        ▼
+//   micro-batcher thread: an idle one dispatches at once and batches only
+//        │  what has already queued (max_delay_us = 0, the default), up to
+//        │  max_batch; groups by identical FactorizeOptions, coalesces
+//        │  duplicate targets within the flight
 //        ▼
 //   core::BatchFactorizer::factorize_all  (worker pool over the shared
 //        │                                 packed-SIMD scan planes)
@@ -39,7 +45,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <future>
@@ -61,15 +67,21 @@
 namespace factorhd::service {
 
 struct ServiceOptions {
-  /// Flush a micro-batch once this many requests are pending.
+  /// Largest flight one dispatcher takes from the queue at once.
   std::size_t max_batch = 64;
-  /// ... or once the oldest pending request has waited this long (us).
-  /// 0 means "dispatch immediately, batch only what is already queued".
-  std::size_t max_delay_us = 200;
-  /// Bounded request-queue capacity (the backpressure surface).
+  /// 0: an idle dispatcher dispatches at once and batches only what has
+  /// already queued. > 0: a partial flight waits for more requests until
+  /// this long (us) after the submit of the request at the head of the
+  /// queue (tests use it to hold requests in the queue deterministically).
+  /// At low load a fixed wait only adds latency, so the default is 0
+  /// (docs/TUNING.md).
+  std::size_t max_delay_us = 0;
+  /// Bounded request-queue capacity: the one depth bound between a caller
+  /// (the net server included) and the batcher.
   std::size_t queue_capacity = 1024;
   /// When the queue is full: true → submit() throws QueueFullError;
-  /// false → submit() blocks until space frees up.
+  /// false → submit() blocks until space frees up. try_submit() never
+  /// blocks, whatever this says.
   bool reject_when_full = false;
   /// Micro-batcher (queue-consumer) threads. 1 maximizes coalescing; more
   /// dispatchers overlap batch formation with computation when flights are
@@ -126,6 +138,13 @@ class EngineStoppedError : public std::runtime_error {
 using Completion = std::function<void(std::exception_ptr error,
                                       const core::FactorizeResult& result)>;
 
+/// try_submit() outcome. Only kAccepted leads to a Completion call.
+enum class SubmitStatus : std::uint8_t {
+  kAccepted,   ///< queued, or answered from the cache before returning
+  kQueueFull,  ///< the queue holds queue_capacity requests
+  kStopped,    ///< stop() has begun
+};
+
 /// Asynchronous factorization server over one immutable Model.
 ///
 /// \par Contract (bit-identical serving)
@@ -158,7 +177,8 @@ class FactorizationEngine {
   FactorizationEngine(const FactorizationEngine&) = delete;
   FactorizationEngine& operator=(const FactorizationEngine&) = delete;
 
-  /// Submits one factorization request.
+  /// Submits one factorization request, queued in submit order (its
+  /// deadline is the submit time).
   /// \param target Encoded target HV of the model's dimension.
   /// \param opts Per-request factorization options; requests batch together
   ///   only with identical options.
@@ -172,6 +192,17 @@ class FactorizationEngine {
   /// \throws QueueFullError When the queue is full and reject_when_full.
   void submit(hdc::Hypervector target, core::FactorizeOptions opts,
               Completion done);
+
+  /// Non-blocking submit for an event loop: never waits for queue space,
+  /// whatever reject_when_full says, and queues the request by `deadline`
+  /// (earliest first, FIFO among equal deadlines) rather than by its submit
+  /// time. A cache hit completes inline before the call returns.
+  /// \return kAccepted when `done` has run or will run exactly once; any
+  ///   other status means `done` is never called.
+  /// \throws std::invalid_argument On a dimension mismatch.
+  [[nodiscard]] SubmitStatus try_submit(
+      hdc::Hypervector target, core::FactorizeOptions opts,
+      std::chrono::steady_clock::time_point deadline, Completion done);
 
   /// submit() with a future instead of a callback: the promise is fulfilled
   /// from the Completion. Same throws.
@@ -232,7 +263,16 @@ class FactorizationEngine {
     std::chrono::steady_clock::time_point dequeued;
     std::uint64_t trace_id = 0;  ///< global submit-order id (when observing)
     bool traced = false;         ///< in the deterministic sample set
+    /// Queue key: (deadline, seq), earliest first; seq breaks ties FIFO.
+    std::chrono::steady_clock::time_point deadline;
+    std::uint64_t seq = 0;
   };
+  /// Heap order for the std heap algorithms (a max-heap on this relation):
+  /// true when `a` dispatches after `b`.
+  [[nodiscard]] static bool later(const Request& a,
+                                  const Request& b) noexcept {
+    return a.deadline != b.deadline ? a.deadline > b.deadline : a.seq > b.seq;
+  }
 
   /// One dispatcher's mutable state (unique_ptr-held: address-stable
   /// atomics). Compute-side metrics are uncontended on the dispatch path;
@@ -242,6 +282,11 @@ class FactorizationEngine {
     std::atomic<std::size_t> inflight{0};
   };
 
+  /// The one submit path: cache probe, then a heap push keyed by
+  /// `deadline`. `block` waits for queue space instead of reporting full.
+  SubmitStatus enqueue(hdc::Hypervector target, core::FactorizeOptions opts,
+                       std::chrono::steady_clock::time_point deadline,
+                       Completion done, bool block);
   void batcher_loop(DispatcherState& state, std::uint32_t index);
   /// Collects one flight from the queue (respecting max_batch/max_delay_us).
   /// Returns an empty vector when stopping and the queue is drained.
@@ -274,7 +319,8 @@ class FactorizationEngine {
   mutable std::mutex mu_;
   std::condition_variable queue_ready_;  ///< signalled on enqueue and stop
   std::condition_variable queue_space_;  ///< signalled on dequeue
-  std::deque<Request> queue_;
+  std::vector<Request> queue_;  ///< heap ordered by later()
+  std::uint64_t next_seq_ = 0;
   bool stopping_ = false;
 
   std::mutex join_mu_;  ///< serializes concurrent stop() joins

@@ -35,9 +35,6 @@ std::span<const EnvKnob> env_knobs() {
        "bench sweep sizes: reduced laptop-scale vs paper-scale"},
       {"FACTORHD_CSV_DIR", "directory path", "unset = no CSV",
        "bench harness: also write per-bench CSVs here"},
-      {"FACTORHD_NET_ADMISSION_DEPTH", "1 .. 2^20", "256",
-       "net server: bounded admission-queue depth; a full queue answers "
-       "overload (queue-full) frames instead of queueing unboundedly"},
       {"FACTORHD_NET_CLIENT_QUOTA", "1 .. 2^20", "32",
        "net server: per-client in-flight request quota; exceeding it "
        "answers overload (quota) frames"},
@@ -63,10 +60,12 @@ std::span<const EnvKnob> env_knobs() {
        "factorhd_serve: ResultCache entries"},
       {"FACTORHD_SERVE_MAX_BATCH", "1 .. 4096", "64",
        "factorhd_serve: micro-batch flush size"},
-      {"FACTORHD_SERVE_MAX_DELAY_US", "0 .. 10^6", "200",
-       "factorhd_serve: micro-batch flush deadline (us)"},
+      {"FACTORHD_SERVE_MAX_DELAY_US", "0 .. 10^6", "0",
+       "factorhd_serve: how long a partial micro-batch waits for more "
+       "requests (us); 0 dispatches at once"},
       {"FACTORHD_SERVE_QUEUE_CAP", "1 .. 2^20", "1024",
-       "factorhd_serve: bounded request-queue capacity"},
+       "factorhd_serve: bounded engine request-queue capacity, the one "
+       "depth bound; a full queue answers net overload (queue-full) frames"},
       {"FACTORHD_SHARDS", "1 .. 1024", "1 = unsharded",
        "codebook shard count of the scatter-gather scan partition "
        "(bit-identical results at any count)"},

@@ -7,12 +7,13 @@
 // counters and exactly-once admission-slot release), well-behaved ones are
 // unaffected, and shutdown drains every admitted request. The suite name
 // (NetFaults) is matched by the TSan job / `check.sh --tsan`, so every
-// cross-thread path (loop / dispatcher / engine completion callbacks) runs
-// under the race detector.
+// cross-thread path (loop submits / engine completion callbacks / stop())
+// runs under the race detector.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <functional>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -154,7 +155,6 @@ TEST_F(NetFaults, MidRequestDisconnectDropsResponseAndReleasesSlot) {
 TEST_F(NetFaults, PipelinedBurstPastQuotaAnswersOverload) {
   auto engine = slow_engine();  // holds requests so in-flight accumulates
   net::ServerOptions opts;
-  opts.admission.depth = 64;
   opts.admission.client_quota = 2;
   net::NetServer server(*engine, opts);
   server.start();
@@ -196,17 +196,15 @@ TEST_F(NetFaults, PipelinedBurstPastQuotaAnswersOverload) {
 }
 
 TEST_F(NetFaults, QueueFullAnswersOverload) {
-  // The engine queue holds one request for 300 ms, so the dispatcher blocks
-  // in submit() on the second. Then at most one more ticket fits the
-  // depth-1 admission heap: of five pipelined sends at most three are
-  // admitted, however the frames and the dispatcher interleave.
+  // The engine queue (capacity 1, the one depth bound) holds a request for
+  // 300 ms, and the loop's submit never blocks: of five pipelined sends at
+  // most one is queued at a time, so at least two answer queue-full.
   auto engine = std::make_unique<service::FactorizationEngine>(
       model_, service::ServiceOptions{.max_batch = 1024,
                                       .max_delay_us = 300'000,
                                       .queue_capacity = 1,
                                       .cache_capacity = 0});
   net::ServerOptions opts;
-  opts.admission.depth = 1;
   opts.admission.client_quota = 64;
   net::NetServer server(*engine, opts);
   server.start();
@@ -234,6 +232,46 @@ TEST_F(NetFaults, QueueFullAnswersOverload) {
   const net::AdmissionStats stats = server.admission_stats();
   EXPECT_EQ(stats.rejected_full, full);
   EXPECT_EQ(stats.admitted, results);
+  server.stop();
+}
+
+TEST_F(NetFaults, OverQuotaFrameIsShedBeforeItsPayloadIsDecoded) {
+  // Quota 1 and an engine that holds its one request until it is stopped:
+  // the second factorize frame is over quota. Its payload is undecodable,
+  // yet it answers kQuotaExceeded, not kBadPayload — the loop sheds from
+  // the header without decoding.
+  auto engine = std::make_unique<service::FactorizationEngine>(
+      model_, service::ServiceOptions{.max_batch = 1024,
+                                      .max_delay_us = 60'000'000,
+                                      .cache_capacity = 0});
+  net::ServerOptions opts;
+  opts.admission.client_quota = 1;
+  net::NetServer server(*engine, opts);
+  server.start();
+
+  net::NetClient client("127.0.0.1", server.port());
+  client.set_recv_timeout(10s);
+  const std::uint64_t held = client.send_factorize(target_);
+  ASSERT_TRUE(eventually(
+      [&] { return server.admission_stats().admitted >= 1; }));
+  const std::uint8_t garbage[] = {0xFF, 0x01, 0x02};
+  client.send_raw(net::encode_frame(net::Opcode::kFactorize, 0, 900, garbage));
+
+  const net::NetClient::Response shed = client.recv_response();
+  ASSERT_EQ(shed.kind, net::NetClient::Response::Kind::kOverload);
+  EXPECT_EQ(shed.request_id, 900u);
+  EXPECT_EQ(shed.overload.code, net::OverloadCode::kQuotaExceeded);
+  engine->stop();  // runs the held request
+  const net::NetClient::Response result = client.recv_response();
+  ASSERT_EQ(result.kind, net::NetClient::Response::Kind::kResult);
+  EXPECT_EQ(result.request_id, held);
+
+  // With the slot free again, the same frame is decoded and refused.
+  client.send_raw(net::encode_frame(net::Opcode::kFactorize, 0, 901, garbage));
+  const net::NetClient::Response bad = client.recv_response();
+  ASSERT_EQ(bad.kind, net::NetClient::Response::Kind::kError);
+  EXPECT_EQ(bad.error_code, net::ErrorCode::kBadPayload);
+  EXPECT_EQ(server.admission_stats().rejected_quota, 1u);
   server.stop();
 }
 
@@ -358,6 +396,61 @@ TEST_F(NetFaults, StopDrainsInFlightRequests) {
   }
   stopper.join();
   EXPECT_FALSE(server.running());
+}
+
+TEST_F(NetFaults, StopDuringPipelinedBurstAnswersEveryRequestOnce) {
+  // stop() lands while the loop is still submitting a pipelined burst. The
+  // engine holds what it takes until every frame has been read, so each
+  // one is answered exactly once: with its result (submitted before the
+  // drain began) or kShuttingDown (after).
+  auto engine = std::make_unique<service::FactorizationEngine>(
+      model_, service::ServiceOptions{.max_batch = 4096,
+                                      .max_delay_us = 60'000'000,
+                                      .queue_capacity = 4096,
+                                      .cache_capacity = 0});
+  net::ServerOptions opts;
+  opts.admission.client_quota = 4096;
+  net::NetServer server(*engine, opts);
+  server.start();
+
+  net::NetClient client("127.0.0.1", server.port());
+  client.set_recv_timeout(20s);
+  constexpr std::size_t kSent = 256;
+  std::jthread stopper([&] {
+    while (server.counters().frames_in < kSent / 4) std::this_thread::yield();
+    server.stop();
+  });
+  std::vector<std::uint64_t> ids;
+  for (std::size_t i = 0; i < kSent; ++i) {
+    ids.push_back(client.send_factorize(target_));
+  }
+  // stop() waits on the held requests, so the loop keeps reading; once it
+  // has read the whole burst, stopping the engine runs the held flight.
+  ASSERT_TRUE(eventually(
+      [&] { return server.counters().frames_in >= kSent; }, 60s));
+  engine->stop();
+
+  const core::FactorizeResult expected =
+      model_->factorizer().factorize(target_, {});
+  std::map<std::uint64_t, int> answers;
+  std::size_t results = 0;
+  for (std::size_t i = 0; i < kSent; ++i) {
+    const net::NetClient::Response resp = client.recv_response();
+    ++answers[resp.request_id];
+    if (resp.kind == net::NetClient::Response::Kind::kResult) {
+      ++results;
+      EXPECT_TRUE(resp.result == expected);
+    } else {
+      ASSERT_EQ(resp.kind, net::NetClient::Response::Kind::kError);
+      EXPECT_EQ(resp.error_code, net::ErrorCode::kShuttingDown);
+    }
+  }
+  EXPECT_THROW((void)client.recv_response(), std::runtime_error);  // EOF
+  stopper.join();
+  ASSERT_EQ(answers.size(), kSent);
+  for (const std::uint64_t id : ids) EXPECT_EQ(answers[id], 1) << id;
+  EXPECT_GE(results, kSent / 4 - 1);  // frames handled before stop() began
+  EXPECT_EQ(server.admission_stats().admitted, results);
 }
 
 TEST_F(NetFaults, RequestsAfterDrainStartAreRejectedShuttingDown) {

@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/factorhd.hpp"
@@ -377,6 +379,75 @@ TEST_F(ServiceEngineTest, RefusedSubmitNeverCallsBack) {
                  service::EngineStoppedError);
   }
   EXPECT_EQ(calls.load(), 1) << "a refused submit must never complete";
+}
+
+TEST_F(ServiceEngineTest, DeadlineOrderDispatchesEarliestFirstAndTiesFifo) {
+  // The batcher is held inside the first request's completion while six
+  // more queue up; max_batch 1 then dispatches (and completes) them one at
+  // a time, in queue order.
+  service::FactorizationEngine engine(model_,
+                                      {.max_batch = 1, .cache_capacity = 0});
+  std::promise<void> holding;
+  std::promise<void> release;
+  engine.submit(work_[0].target, work_[0].opts,
+                [&](std::exception_ptr, const core::FactorizeResult&) {
+                  holding.set_value();
+                  release.get_future().wait();
+                });
+  holding.get_future().wait();
+
+  std::mutex mu;
+  std::vector<int> order;
+  const auto t0 = std::chrono::steady_clock::now();
+  // {tag, deadline offset in us}: three ties at +100, in submit order.
+  const std::pair<int, int> plan[] = {{0, 300}, {1, 100}, {2, 50},
+                                      {3, 100}, {4, 0},   {5, 100}};
+  for (const auto& [tag, offset] : plan) {
+    const WorkItem& item = work_[1 + tag];
+    ASSERT_EQ(engine.try_submit(
+                  item.target, item.opts,
+                  t0 + std::chrono::microseconds(offset),
+                  [&, tag](std::exception_ptr error,
+                           const core::FactorizeResult& result) {
+                    EXPECT_FALSE(error);
+                    EXPECT_TRUE(result == work_[1 + tag].expected);
+                    std::lock_guard lock(mu);
+                    order.push_back(tag);
+                  }),
+              service::SubmitStatus::kAccepted);
+  }
+  release.set_value();
+  engine.stop();
+  EXPECT_EQ(order, (std::vector<int>{4, 2, 1, 3, 5, 0}));
+}
+
+TEST_F(ServiceEngineTest, TrySubmitReportsQueueFullInsteadOfBlocking) {
+  // reject_when_full = false makes submit() wait for space; try_submit()
+  // on the same full queue must report kQueueFull at once. A parked
+  // batcher (huge max_batch, 5 s hold) keeps the capacity-1 queue full.
+  service::FactorizationEngine engine(model_, {.max_batch = 1000,
+                                               .max_delay_us = 5000000,
+                                               .queue_capacity = 1,
+                                               .reject_when_full = false,
+                                               .cache_capacity = 0});
+  std::atomic<int> calls{0};
+  const service::Completion count = [&](std::exception_ptr,
+                                        const core::FactorizeResult&) {
+    calls.fetch_add(1);
+  };
+  const auto now = std::chrono::steady_clock::now();
+  ASSERT_EQ(engine.try_submit(work_[0].target, work_[0].opts, now, count),
+            service::SubmitStatus::kAccepted);
+  EXPECT_EQ(engine.try_submit(work_[1].target, work_[1].opts, now, count),
+            service::SubmitStatus::kQueueFull);
+  EXPECT_LT(std::chrono::steady_clock::now() - now, std::chrono::seconds(4))
+      << "try_submit waited for the parked batcher";
+  EXPECT_EQ(engine.metrics().rejected, 1u);
+  engine.stop();  // drains the accepted one
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(engine.try_submit(work_[0].target, work_[0].opts, now, count),
+            service::SubmitStatus::kStopped);
+  EXPECT_EQ(calls.load(), 1) << "a refused try_submit must never complete";
 }
 
 TEST_F(ServiceEngineTest, ValidatesArguments) {

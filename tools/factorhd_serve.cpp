@@ -103,7 +103,7 @@ service::ServiceOptions env_service_options() {
   service::ServiceOptions opts;
   opts.max_batch = util::env_size_t("FACTORHD_SERVE_MAX_BATCH", 64, 1, 4096);
   opts.max_delay_us =
-      util::env_size_t("FACTORHD_SERVE_MAX_DELAY_US", 200, 0, 1000000);
+      util::env_size_t("FACTORHD_SERVE_MAX_DELAY_US", 0, 0, 1000000);
   opts.queue_capacity =
       util::env_size_t("FACTORHD_SERVE_QUEUE_CAP", 1024, 1, 1 << 20);
   opts.cache_capacity =
@@ -281,9 +281,9 @@ void cmd_listen(ServerState& st, const std::vector<std::string>& args,
   server->start();
   st.net_server = std::move(server);
   os << "ok listening on 127.0.0.1:" << st.net_server->port() << " ("
-     << st.net_server->poller_name() << ", admission depth "
-     << opts.admission.depth << ", client quota " << opts.admission.client_quota
-     << ")\n";
+     << st.net_server->poller_name() << ", engine queue capacity "
+     << st.engine->options().queue_capacity << ", client quota "
+     << opts.admission.client_quota << ")\n";
 }
 
 void print_result(const ServerState& st, const core::FactorizeResult& r,
