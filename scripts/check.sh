@@ -12,11 +12,12 @@
 #   scripts/check.sh --fast   # unit-labelled suites only (pre-commit loop)
 #   scripts/check.sh --asan   # Debug + ASan/UBSan + -Werror, full corpus
 #   scripts/check.sh --tsan   # Debug + ThreadSanitizer + -Werror, the
-#                             # threading suites (batch determinism, kernel
-#                             # fuzz, batch, service soak, sharded
-#                             # scatter-gather, metrics, trace ring,
-#                             # network faults, service engine, network
-#                             # differential) only, each up to 20 times
+#                             # threading suites (parallel_for, batch
+#                             # determinism, kernel fuzz, batch, service
+#                             # soak, sharded scatter-gather, metrics,
+#                             # trace ring, network faults, service
+#                             # engine, network differential) only, each
+#                             # up to 20 times
 #
 # Extra arguments after the mode are forwarded to ctest.
 set -euo pipefail
@@ -45,13 +46,13 @@ case "${1:-}" in
     CHECK_BASELINES=0
     BUILD_DIR=build-tsan
     CMAKE_ARGS+=(-DCMAKE_BUILD_TYPE=Debug -DFACTORHD_TSAN=ON -DFACTORHD_WERROR=ON)
-    # The suites that exercise the worker pools (BatchFactorizer, the
-    # parallel plane scans, the sharded
+    # The suites that exercise the worker pools (util::parallel_for and its
+    # callers: BatchFactorizer, the parallel plane scans, the sharded
     # scatter-gather, the serving engine and its queue, the wait-free
     # metrics/trace plumbing, and the network front end's event loop
     # submitting to the engine over real sockets), each repeated until it
     # fails, at most 20 times; everything else is single-threaded.
-    CTEST_ARGS+=(--repeat until-fail:20 -R 'BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|ServiceEngineTest|NetDifferentialTest')
+    CTEST_ARGS+=(--repeat until-fail:20 -R 'ParallelFor|BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|ServiceEngineTest|NetDifferentialTest')
     ;;
 esac
 CTEST_ARGS+=("$@")

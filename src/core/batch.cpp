@@ -1,12 +1,10 @@
 #include "core/batch.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <span>
 #include <thread>
 
-#include "hdc/kernels/packed_item_memory.hpp"
+#include "util/parallel.hpp"
 
 namespace factorhd::core {
 
@@ -37,72 +35,24 @@ std::vector<FactorizeResult> BatchFactorizer::factorize_all(
     if (workers == 1) {
       return factorizer_->factorize_block(all, opts);
     }
-    std::atomic<bool> slice_failed{false};
-    std::exception_ptr slice_error;
-    auto slice_work = [&](std::size_t begin, std::size_t end) {
-      const hdc::kernels::ScanNestingGuard nesting_guard;
-      try {
-        std::vector<FactorizeResult> part =
-            factorizer_->factorize_block(all.subspan(begin, end - begin), opts);
-        std::move(part.begin(), part.end(),
-                  results.begin() + static_cast<std::ptrdiff_t>(begin));
-      } catch (...) {
-        if (!slice_failed.exchange(true)) {
-          slice_error = std::current_exception();
-        }
-      }
-    };
     const std::size_t base = targets.size() / workers;
     const std::size_t extra = targets.size() % workers;
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    std::size_t begin = 0;
-    for (std::size_t w = 0; w + 1 < workers; ++w) {
-      const std::size_t end = begin + base + (w < extra ? 1 : 0);
-      pool.emplace_back(slice_work, begin, end);
-      begin = end;
-    }
-    slice_work(begin, targets.size());
-    for (auto& t : pool) t.join();
-    if (slice_error) std::rethrow_exception(slice_error);
+    util::parallel_for(workers, workers, [&](std::size_t w) {
+      const std::size_t begin = w * base + std::min(w, extra);
+      const std::size_t count = base + (w < extra ? 1 : 0);
+      std::vector<FactorizeResult> part =
+          factorizer_->factorize_block(all.subspan(begin, count), opts);
+      std::move(part.begin(), part.end(),
+                results.begin() + static_cast<std::ptrdiff_t>(begin));
+    });
     return results;
   }
 
-  if (workers == 1) {
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      results[i] = factorizer_->factorize(targets[i], opts);
-    }
-    return results;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::atomic<bool> failed{false};
-  auto work = [&]() {
-    // Batch workers are the parallel layer; mark the thread so the packed
-    // scans underneath stay sequential instead of nesting a second pool
-    // (batch threads x scan threads) per call.
-    const hdc::kernels::ScanNestingGuard nesting_guard;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= targets.size() || failed.load(std::memory_order_relaxed)) {
-        return;
-      }
-      try {
-        results[i] = factorizer_->factorize(targets[i], opts);
-      } catch (...) {
-        // Keep only the first failure; stop handing out new work.
-        if (!failed.exchange(true)) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  // Multi-object batches hand out one target per task: scenes vary widely
+  // in cost, so the shared task counter balances the load.
+  util::parallel_for(targets.size(), workers, [&](std::size_t i) {
+    results[i] = factorizer_->factorize(targets[i], opts);
+  });
   return results;
 }
 

@@ -38,7 +38,9 @@ class BatchFactorizer {
       : factorizer_(&factorizer), opts_(opts) {}
 
   /// Factorizes every target with the same options; results are returned in
-  /// input order. Propagates the first worker exception, if any.
+  /// input order. If targets throw, rethrows (once every worker has joined)
+  /// the exception of the lowest-indexed failing task: a target, or a slice
+  /// for single-object batches.
   ///
   /// Single-object batches (!opts.multi_object) are partitioned into fixed
   /// contiguous slices, one per worker, each running
@@ -46,7 +48,7 @@ class BatchFactorizer {
   /// every level-1 codebook once per slice instead of once per target.
   /// factorize_block is bit-identical per target to factorize, so results
   /// (and the determinism contract above) are unchanged. Multi-object
-  /// batches keep the dynamic per-target work queue.
+  /// batches hand out one target per task (util::parallel_for).
   /// \param targets Independent encoded targets (any mix of Rep 1/2/3).
   /// \param opts Options applied to every target.
   /// \return One FactorizeResult per target, in input order.

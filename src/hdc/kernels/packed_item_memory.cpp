@@ -6,34 +6,12 @@
 #include <utility>
 
 #include "util/env.hpp"
+#include "util/parallel.hpp"
 
 namespace factorhd::hdc::kernels {
 
-namespace {
-
-// A scan is worth threading only when its sequential time comfortably
-// exceeds the std::thread spawn+join overhead (tens of microseconds). That
-// break-even point depends on the SIMD tier: the scalar word loop retires a
-// few ns per plane word, the vector tiers 10-30x less, so their threshold
-// sits 16x higher (measured on AVX-512: a 2^16-word scan runs ~15 us
-// sequentially — well below spawn cost). The taxonomy codebooks of the
-// paper experiments (M <= a few hundred, D <= 8192) stay sequential;
-// million-entry codebooks partition across the pool.
-constexpr std::size_t parallel_scan_min_words(SimdLevel level) noexcept {
-  return level == SimdLevel::kScalarWords ? (std::size_t{1} << 16)
-                                          : (std::size_t{1} << 20);
-}
-
-// Depth of outer worker pools on this thread (see ScanNestingGuard).
-thread_local int scan_nesting_depth = 0;
-
-enum class Alphabet { kBipolar, kTernary, kOther };
-
-}  // namespace
-
 // Worker-pool width: FACTORHD_SCAN_THREADS when set (1 disables threading),
-// else min(hardware threads, 8) — a small pool, matching the BatchFactorizer
-// idiom of per-call spawn+join std::threads. Registered in util::env_knobs().
+// else min(hardware threads, 8). Registered in util::env_knobs().
 std::size_t scan_pool_width() {
   static const std::size_t width = [] {
     const std::size_t env = util::env_size_t("FACTORHD_SCAN_THREADS", 0, 0, 256);
@@ -45,12 +23,41 @@ std::size_t scan_pool_width() {
   return width;
 }
 
-ScanNestingGuard::ScanNestingGuard() noexcept { ++scan_nesting_depth; }
-ScanNestingGuard::~ScanNestingGuard() { --scan_nesting_depth; }
-
-bool scan_nesting_active() noexcept { return scan_nesting_depth > 0; }
+// A scan is worth threading only when its sequential time comfortably
+// exceeds util::parallel_for's per-call spawn+join overhead (tens of
+// microseconds). That break-even point depends on the SIMD tier: the scalar
+// word loop retires a few ns per plane word, the vector tiers 10-30x less,
+// so their threshold sits 16x higher (measured on AVX-512: a 2^16-word scan
+// runs ~15 us sequentially — well below spawn cost). The taxonomy codebooks
+// of the paper experiments (M <= a few hundred, D <= 8192) stay sequential;
+// million-entry codebooks partition across the pool.
+std::size_t scan_width(std::size_t words, SimdLevel level,
+                       std::size_t blocks) noexcept {
+  const std::size_t min_words = level == SimdLevel::kScalarWords
+                                    ? (std::size_t{1} << 16)
+                                    : (std::size_t{1} << 20);
+  if (words < min_words) return 1;
+  return util::parallel_width(std::min(scan_pool_width(), blocks));
+}
 
 namespace {
+
+enum class Alphabet { kBipolar, kTernary, kOther };
+
+// [0, rows) cut into at most `workers` fixed contiguous blocks. Boundaries
+// depend only on rows and workers, never on timing, so a scan whose tasks
+// write per-block slots is byte-identical at any pool width.
+struct RowBlocks {
+  RowBlocks(std::size_t rows, std::size_t workers)
+      : rows(rows),
+        chunk((rows + workers - 1) / workers),
+        count((rows + chunk - 1) / chunk) {}
+  [[nodiscard]] std::size_t begin(std::size_t b) const { return b * chunk; }
+  [[nodiscard]] std::size_t end(std::size_t b) const {
+    return std::min(rows, begin(b) + chunk);
+  }
+  std::size_t rows, chunk, count;
+};
 
 Alphabet classify(const Hypervector& v) noexcept {
   bool any_zero = false;
@@ -162,45 +169,20 @@ std::int64_t PackedItemMemory::row_dot(std::size_t row,
 }
 
 std::size_t PackedItemMemory::scan_workers() const noexcept {
-  if (scan_nesting_depth > 0) return 1;  // already inside an outer pool
-  if (size_ * words_ < parallel_scan_min_words(level_)) return 1;
-  return std::min(scan_pool_width(), size_);
+  return scan_width(size_ * words_, level_, size_);
 }
 
 void PackedItemMemory::compute_dots(const PackedQuery& query,
                                     std::span<std::int64_t> out) const {
+  // One task per row block, each writing a disjoint slice of `out`.
   const std::size_t workers = scan_workers();
-  if (workers <= 1) {
-    for (std::size_t row = 0; row < size_; ++row) {
+  const RowBlocks blocks(size_, workers);
+  util::parallel_for(blocks.count, workers, [&](std::size_t b) {
+    for (std::size_t row = blocks.begin(b), end = blocks.end(b); row < end;
+         ++row) {
       out[row] = row_dot(row, query);
     }
-    return;
-  }
-  // Contiguous fixed row blocks, one per worker; every worker writes a
-  // disjoint slice of `out`, so the result is byte-identical to the
-  // sequential loop for any pool width. Ceil division can leave fewer
-  // non-empty blocks than workers — stop at size_ rather than spawn idle
-  // threads.
-  const std::size_t chunk = (size_ + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  try {
-    for (std::size_t begin = 0; begin < size_; begin += chunk) {
-      const std::size_t end = std::min(size_, begin + chunk);
-      pool.emplace_back([this, &query, out, begin, end] {
-        for (std::size_t row = begin; row < end; ++row) {
-          out[row] = row_dot(row, query);
-        }
-      });
-    }
-  } catch (...) {
-    // A failed spawn (thread-limit pressure) must not let the vector
-    // destructor run on joinable threads (std::terminate); join what
-    // started, then propagate.
-    for (auto& t : pool) t.join();
-    throw;
-  }
-  for (auto& t : pool) t.join();
+  });
 }
 
 void PackedItemMemory::require_query(const PackedQuery& query) const {
@@ -435,31 +417,18 @@ std::vector<Match> PackedItemMemory::best_block(
   if (workers <= 1) {
     reduce_range(0, size_, best_dot.data(), best_row.data());
   } else {
-    // Contiguous fixed row ranges, one per worker; merging in ascending
-    // range order with strict > reproduces the sequential argmax for any
-    // pool width.
-    const std::size_t chunk = (size_ + workers - 1) / workers;
-    const std::size_t slots = (size_ + chunk - 1) / chunk;
+    // One task per row block; merging the blocks in ascending order with
+    // strict > reproduces the sequential argmax for any pool width.
+    const RowBlocks blocks(size_, workers);
     std::vector<std::vector<std::int64_t>> wdot(
-        slots, std::vector<std::int64_t>(nq, INT64_MIN));
+        blocks.count, std::vector<std::int64_t>(nq, INT64_MIN));
     std::vector<std::vector<std::size_t>> wrow(
-        slots, std::vector<std::size_t>(nq, 0));
-    std::vector<std::thread> pool;
-    pool.reserve(slots);
-    try {
-      for (std::size_t s = 0; s < slots; ++s) {
-        const std::size_t begin = s * chunk;
-        const std::size_t end = std::min(size_, begin + chunk);
-        pool.emplace_back([&reduce_range, &wdot, &wrow, s, begin, end] {
-          reduce_range(begin, end, wdot[s].data(), wrow[s].data());
-        });
-      }
-    } catch (...) {
-      for (auto& t : pool) t.join();
-      throw;
-    }
-    for (auto& t : pool) t.join();
-    for (std::size_t s = 0; s < slots; ++s) {
+        blocks.count, std::vector<std::size_t>(nq, 0));
+    util::parallel_for(blocks.count, workers, [&](std::size_t b) {
+      reduce_range(blocks.begin(b), blocks.end(b), wdot[b].data(),
+                   wrow[b].data());
+    });
+    for (std::size_t s = 0; s < blocks.count; ++s) {
       for (std::size_t t = 0; t < nq; ++t) {
         if (wdot[s][t] > best_dot[t]) {
           best_dot[t] = wdot[s][t];
@@ -526,26 +495,13 @@ std::vector<std::vector<Match>> PackedItemMemory::top_k_block(
   if (workers <= 1) {
     reduce_range(0, size_, cand);
   } else {
-    const std::size_t chunk = (size_ + workers - 1) / workers;
-    const std::size_t slots = (size_ + chunk - 1) / chunk;
+    const RowBlocks blocks(size_, workers);
     std::vector<std::vector<std::vector<Match>>> wcand(
-        slots, std::vector<std::vector<Match>>(nq));
-    std::vector<std::thread> pool;
-    pool.reserve(slots);
-    try {
-      for (std::size_t s = 0; s < slots; ++s) {
-        const std::size_t begin = s * chunk;
-        const std::size_t end = std::min(size_, begin + chunk);
-        pool.emplace_back([&reduce_range, &wcand, s, begin, end] {
-          reduce_range(begin, end, wcand[s]);
-        });
-      }
-    } catch (...) {
-      for (auto& t : pool) t.join();
-      throw;
-    }
-    for (auto& t : pool) t.join();
-    for (std::size_t s = 0; s < slots; ++s) {
+        blocks.count, std::vector<std::vector<Match>>(nq));
+    util::parallel_for(blocks.count, workers, [&](std::size_t b) {
+      reduce_range(blocks.begin(b), blocks.end(b), wcand[b]);
+    });
+    for (std::size_t s = 0; s < blocks.count; ++s) {
       for (std::size_t t = 0; t < nq; ++t) {
         cand[t].insert(cand[t].end(), wcand[s][t].begin(), wcand[s][t].end());
       }
@@ -600,23 +556,10 @@ void PackedItemMemory::dots_block(std::span<const PackedQuery> queries,
                   out.data() + orig_index(t) * size_ + begin);
     }
   };
-  if (workers <= 1) {
-    fill_range(0, size_);
-    return;
-  }
-  const std::size_t chunk = (size_ + workers - 1) / workers;
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  try {
-    for (std::size_t begin = 0; begin < size_; begin += chunk) {
-      const std::size_t end = std::min(size_, begin + chunk);
-      pool.emplace_back([&fill_range, begin, end] { fill_range(begin, end); });
-    }
-  } catch (...) {
-    for (auto& t : pool) t.join();
-    throw;
-  }
-  for (auto& t : pool) t.join();
+  const RowBlocks blocks(size_, workers);
+  util::parallel_for(blocks.count, workers, [&](std::size_t b) {
+    fill_range(blocks.begin(b), blocks.end(b));
+  });
 }
 
 Match PackedItemMemory::best(const Hypervector& query) const {

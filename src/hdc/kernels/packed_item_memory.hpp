@@ -48,27 +48,13 @@ namespace factorhd::hdc::kernels {
 /// the full-codebook scans here and ShardedItemMemory's scatter passes.
 [[nodiscard]] std::size_t scan_pool_width();
 
-/// RAII marker for threads that are themselves workers of an outer pool
-/// (core::BatchFactorizer installs one per worker): while any guard is
-/// alive on the current thread, PackedItemMemory scans stay sequential, so
-/// thread counts never multiply (batch workers x scan pool) and the scan
-/// pool's spawn+join cost is not paid inside already-parallel loops.
-/// Results are unaffected either way — the parallel partition is
-/// bit-identical to the sequential scan.
-class ScanNestingGuard {
- public:
-  ScanNestingGuard() noexcept;
-  ~ScanNestingGuard();
-  ScanNestingGuard(const ScanNestingGuard&) = delete;
-  ScanNestingGuard& operator=(const ScanNestingGuard&) = delete;
-};
-
-/// True while a ScanNestingGuard is alive on the current thread — i.e. this
-/// thread is already a worker of an outer pool, so further scan-level
-/// parallelism would multiply thread counts. ShardedItemMemory consults this
-/// before scattering shards across the pool, for the same reason the packed
-/// scans do.
-[[nodiscard]] bool scan_nesting_active() noexcept;
+/// Worker count for one scan over `words` plane words on SIMD tier `level`,
+/// split into at most `blocks` fixed pieces: 1 below the tier's break-even
+/// size or on a util::parallel_for worker (no nested fan-out), else
+/// min(scan_pool_width(), blocks). PackedItemMemory's row scans and
+/// ShardedItemMemory's scatter passes both size themselves with it.
+[[nodiscard]] std::size_t scan_width(std::size_t words, SimdLevel level,
+                                     std::size_t blocks) noexcept;
 
 class PackedItemMemory {
  public:

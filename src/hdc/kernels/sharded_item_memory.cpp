@@ -1,28 +1,13 @@
 #include "hdc/kernels/sharded_item_memory.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "util/env.hpp"
+#include "util/parallel.hpp"
 
 namespace factorhd::hdc::kernels {
-
-namespace {
-
-// Same break-even rule as the packed row scans
-// (packed_item_memory.cpp::parallel_scan_min_words): scattering shards
-// across the pool pays one spawn+join per scan, so the whole codebook must
-// be large enough to amortize it; the vector tiers scan ~16x faster, so
-// their threshold sits 16x higher.
-constexpr std::size_t parallel_scatter_min_words(SimdLevel level) noexcept {
-  return level == SimdLevel::kScalarWords ? (std::size_t{1} << 16)
-                                          : (std::size_t{1} << 20);
-}
-
-}  // namespace
 
 ShardedConfig sharded_config_from_env() {
   ShardedConfig config;
@@ -84,59 +69,16 @@ std::vector<std::uint64_t> ShardedItemMemory::shard_rows_scanned() const {
 }
 
 std::size_t ShardedItemMemory::scatter_workers() const noexcept {
-  if (scan_nesting_active()) return 1;  // already inside an outer pool
-  if (shards_.size() <= 1) return 1;
-  if (full_->size() * full_->words_per_row() <
-      parallel_scatter_min_words(full_->simd_level())) {
-    return 1;
-  }
-  return std::min(scan_pool_width(), shards_.size());
+  return scan_width(full_->size() * full_->words_per_row(),
+                    full_->simd_level(), shards_.size());
 }
 
 template <typename Fn>
 void ShardedItemMemory::for_each_shard(Fn&& fn) const {
-  const std::size_t n = shards_.size();
-  const std::size_t workers = scatter_workers();
-  if (workers <= 1) {
-    for (std::size_t s = 0; s < n; ++s) fn(s);
-    return;
-  }
-  // Contiguous fixed shard blocks, one per worker; every worker writes only
-  // its own shards' result slots, so the gather is byte-identical to the
-  // sequential loop for any pool width. Each worker installs a
-  // ScanNestingGuard so the per-shard scans stay sequential (thread counts
-  // never multiply). Exceptions are captured per block and the first (by
-  // block order) is rethrown after the join — deterministic, and a throwing
-  // shard scan can never terminate the process.
-  const std::size_t chunk = (n + workers - 1) / workers;
-  const std::size_t blocks = (n + chunk - 1) / chunk;
-  std::vector<std::exception_ptr> errors(blocks);
-  std::vector<std::thread> pool;
-  pool.reserve(blocks);
-  try {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t begin = b * chunk;
-      const std::size_t end = std::min(n, begin + chunk);
-      pool.emplace_back([&fn, &errors, b, begin, end] {
-        ScanNestingGuard guard;
-        try {
-          for (std::size_t s = begin; s < end; ++s) fn(s);
-        } catch (...) {
-          errors[b] = std::current_exception();
-        }
-      });
-    }
-  } catch (...) {
-    // A failed spawn (thread-limit pressure) must not let the vector
-    // destructor run on joinable threads (std::terminate); join what
-    // started, then propagate.
-    for (auto& t : pool) t.join();
-    throw;
-  }
-  for (auto& t : pool) t.join();
-  for (const auto& e : errors) {
-    if (e != nullptr) std::rethrow_exception(e);
-  }
+  // One task per shard; every task writes only its own shard's result
+  // slots, so the gather is byte-identical to the sequential loop for any
+  // pool width, and a throwing shard scan surfaces the lowest shard's error.
+  util::parallel_for(shards_.size(), scatter_workers(), fn);
 }
 
 void ShardedItemMemory::require_query(const PackedQuery& query) const {

@@ -8,11 +8,12 @@
 //               contiguous split (sizes differ by at most one row). Each
 //               shard's row memory is a zero-copy PackedItemMemory::slice()
 //               of the full packed memory — one set of planes, N views.
-//   scatter:    the shard scans run on the existing scan pool
-//               (FACTORHD_SCAN_THREADS) when the codebook is large enough,
-//               each worker under a ScanNestingGuard so thread counts never
-//               multiply; small memories scan shards sequentially. Results
-//               are independent of the worker count.
+//   scatter:    the shard scans run as util::parallel_for tasks, one per
+//               shard, over the scan pool width (FACTORHD_SCAN_THREADS) when
+//               the codebook is large enough; the per-shard scans nested in
+//               a task stay sequential, so thread counts never multiply.
+//               Small memories scan shards sequentially. Results are
+//               independent of the worker count.
 //   gather:     per-shard matches are globalized (local index + begin_s) and
 //               merged under the canonical tie rules: argmax keeps the first
 //               (lowest global index) maximum by reducing shards in
@@ -170,10 +171,9 @@ class ShardedItemMemory {
   };
 
   /// Runs `fn(shard_index)` for every shard — in ascending order when the
-  /// scan is small or nested, else partitioned over the scan pool in fixed
-  /// contiguous shard ranges (deterministic: the partition depends only on
-  /// shard and worker counts, never on timing). `fn` must write only
-  /// shard-indexed slots.
+  /// scan is small or nested, else as one util::parallel_for task per shard
+  /// over scatter_workers() threads. `fn` must write only shard-indexed
+  /// slots.
   template <typename Fn>
   void for_each_shard(Fn&& fn) const;
   /// Worker count a scatter pass would use right now (1 = sequential).

@@ -1,0 +1,55 @@
+// Fork-join over independent tasks: the one place the library starts
+// short-lived worker threads.
+//
+// parallel_for(tasks, workers, fn) calls fn(0) .. fn(tasks - 1), each exactly
+// once, on up to `workers` threads: the caller works as one of them and the
+// others are spawned for this call and joined before it returns. Workers
+// pull task indices from one shared counter, so timing decides which thread
+// runs a task. Callers that must be byte-identical at any width give each
+// task its own output slots (one task per fixed row block, shard or target)
+// and reduce in task order afterwards.
+//
+// Errors: once a task throws, no further tasks are handed out. After every
+// started thread has joined, the exception of the lowest-indexed failed task
+// is rethrown. Indices are handed out in increasing order and a handed-out
+// task always runs, so that is the lowest-indexed throwing task overall —
+// the exception a sequential loop would raise. If spawning a thread fails,
+// the threads already started are joined and the spawn error propagates.
+//
+// Nesting: while a thread works on the tasks of a call that fanned out, a
+// nested parallel_for on it runs its tasks inline and in order, so thread
+// counts never multiply. parallel_width() reports this to callers that size
+// their work (or pick a sequential fast path) from the width.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <functional>
+
+namespace factorhd::util {
+
+/// `requested`, or 1 on a thread that is working on a fanned-out
+/// parallel_for call (where a nested call would run inline anyway).
+[[nodiscard]] std::size_t parallel_width(std::size_t requested) noexcept;
+
+namespace detail {
+/// The threaded path of parallel_for; requires 2 <= workers <= tasks.
+void fork_join(std::size_t tasks, std::size_t workers,
+               const std::function<void(std::size_t)>& task);
+}  // namespace detail
+
+/// Runs `fn(task)` for every task in [0, tasks) on up to `workers` threads
+/// (see the file comment for hand-out, error and nesting rules). A width of
+/// 1 — `workers` <= 1, `tasks` <= 1, or a nested call — runs the tasks in
+/// order on the caller without spawning.
+template <typename Fn>
+void parallel_for(std::size_t tasks, std::size_t workers, const Fn& fn) {
+  const std::size_t width = std::min(parallel_width(workers), tasks);
+  if (width <= 1) {
+    for (std::size_t i = 0; i < tasks; ++i) fn(i);
+    return;
+  }
+  detail::fork_join(tasks, width, std::cref(fn));
+}
+
+}  // namespace factorhd::util

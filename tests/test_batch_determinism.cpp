@@ -21,6 +21,7 @@
 #include "hdc/kernels/packed_item_memory.hpp"
 #include "hdc/random.hpp"
 #include "taxonomy/generator.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -214,15 +215,17 @@ TEST(BatchDeterminism, ParallelPlaneScanMatchesScalar) {
     }
   }
 
-  // Under a ScanNestingGuard (the state every BatchFactorizer worker runs
-  // in) the same scans go sequential — results must be unchanged.
-  const hdc::kernels::ScanNestingGuard guard;
+  // On a util::parallel_for worker (the state every BatchFactorizer worker
+  // runs in) the same scans go sequential — results must be unchanged.
   const hdc::Hypervector q = hdc::flip_noise(cb.item(13), 0.1, rng);
-  std::vector<std::int64_t> ds(cb.size()), dp(cb.size());
-  scalar.dots(q, ds);
-  words.dots(q, dp);
-  EXPECT_EQ(ds, dp);
-  EXPECT_EQ(scalar.best(q).index, words.best(q).index);
+  util::parallel_for(2, 2, [&](std::size_t) {
+    EXPECT_EQ(util::parallel_width(8), 1u);
+    std::vector<std::int64_t> ds(cb.size()), dp(cb.size());
+    scalar.dots(q, ds);
+    words.dots(q, dp);
+    EXPECT_EQ(ds, dp);
+    EXPECT_EQ(scalar.best(q).index, words.best(q).index);
+  });
 }
 
 TEST(BatchDeterminism, EffectiveThreadsEdgeCases) {
