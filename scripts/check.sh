@@ -52,7 +52,7 @@ case "${1:-}" in
     # metrics/trace plumbing, and the network front end's event loop
     # submitting to the engine over real sockets), each repeated until it
     # fails, at most 20 times; everything else is single-threaded.
-    CTEST_ARGS+=(--repeat until-fail:20 -R 'ParallelFor|BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|ServiceEngineTest|NetDifferentialTest')
+    CTEST_ARGS+=(--repeat until-fail:20 -R 'ParallelFor|BatchDeterminism|KernelFuzz|BatchTest|ServiceSoak|ShardedMemory|ShardedSoak|MetricsConcurrency|TraceRing|NetFaults|ServiceEngineTest|ServiceMetrics|NetDifferentialTest')
     ;;
 esac
 CTEST_ARGS+=("$@")

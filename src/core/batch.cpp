@@ -1,19 +1,30 @@
 #include "core/batch.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <span>
-#include <thread>
 
 #include "util/parallel.hpp"
 
 namespace factorhd::core {
 
 std::size_t BatchFactorizer::effective_threads(std::size_t batch) const {
-  std::size_t n = opts_.num_threads;
-  if (n == 0) {
-    n = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t n =
+      opts_.num_threads == 0 ? util::pool_width() : opts_.num_threads;
   return std::min(n, std::max<std::size_t>(1, batch));
+}
+
+std::size_t BatchFactorizer::width(std::size_t batch,
+                                   const FactorizeOptions& opts) const {
+  const std::size_t cap = effective_threads(batch);
+  if (opts_.num_threads != 0 || cap == 1) return cap;
+  const std::uint64_t per_target = factorizer_->estimate_ns(opts);
+  const std::uint64_t work =
+      per_target > std::numeric_limits<std::uint64_t>::max() / batch
+          ? std::numeric_limits<std::uint64_t>::max()
+          : per_target * batch;
+  return static_cast<std::size_t>(
+      std::clamp<std::uint64_t>(work / kBreakEvenNs, 1, cap));
 }
 
 std::vector<FactorizeResult> BatchFactorizer::factorize_all(
@@ -22,7 +33,7 @@ std::vector<FactorizeResult> BatchFactorizer::factorize_all(
   std::vector<FactorizeResult> results(targets.size());
   if (targets.empty()) return results;
 
-  const std::size_t workers = effective_threads(targets.size());
+  const std::size_t workers = width(targets.size(), opts);
 
   if (!opts.multi_object) {
     // Single-object batches route through Factorizer::factorize_block so

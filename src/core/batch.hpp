@@ -26,7 +26,8 @@
 namespace factorhd::core {
 
 struct BatchOptions {
-  /// Worker threads; 0 selects std::thread::hardware_concurrency() (min 1).
+  /// Worker threads; 0 picks the width per batch from the estimated work
+  /// (see BatchFactorizer::width), capped by util::pool_width().
   std::size_t num_threads = 0;
 };
 
@@ -57,12 +58,24 @@ class BatchFactorizer {
       const std::vector<hdc::Hypervector>& targets,
       const FactorizeOptions& opts = {}) const;
 
-  /// Threads that factorize_all will actually use for a given batch size.
+  /// The most threads factorize_all may use for a given batch size.
   /// \param batch Number of targets in the batch.
-  /// \return min(configured threads, batch), clamped to at least 1 — also
-  ///   for batch == 0, where factorize_all returns empty without spawning
-  ///   any worker (the 1 is the sequential caller thread itself).
+  /// \return min(num_threads, batch) — util::pool_width() standing in for
+  ///   num_threads == 0 — clamped to at least 1, also for batch == 0, where
+  ///   factorize_all returns empty without spawning any worker (the 1 is
+  ///   the sequential caller thread itself).
   [[nodiscard]] std::size_t effective_threads(std::size_t batch) const;
+
+  /// Threads factorize_all uses for `batch` targets under `opts`. An
+  /// explicit num_threads uses effective_threads(batch). At auto width
+  /// (num_threads == 0) each worker must get at least kBreakEvenNs of
+  /// estimated work: batch * Factorizer::estimate_ns(opts) / kBreakEvenNs
+  /// threads, clamped to [1, effective_threads(batch)]. A few paper-scale
+  /// objects therefore run on the caller alone, 64 of them fan out to the
+  /// pool width, and multi-object batches (estimated as unbounded) fan out
+  /// to the cap.
+  [[nodiscard]] std::size_t width(std::size_t batch,
+                                  const FactorizeOptions& opts) const;
 
  private:
   const Factorizer* factorizer_;

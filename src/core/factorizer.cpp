@@ -1,6 +1,7 @@
 #include "core/factorizer.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -121,6 +122,44 @@ double Factorizer::effective_threshold(const FactorizeOptions& opts) const {
   p.dim = books_->dim();
   p.codebook_size = books_->taxonomy().max_level1_size();
   return predicted_threshold(p);
+}
+
+std::uint64_t Factorizer::estimate_ns(const FactorizeOptions& opts) const {
+  if (opts.multi_object) return std::numeric_limits<std::uint64_t>::max();
+  // Fitted coefficients (see the header): per class, per dimension of the
+  // unbind plus the first query pack, per dimension of each deeper level's
+  // pack, per scanned row and per scanned plane word, and per dimension of
+  // a row scanned on the scalar backend.
+  constexpr double kClassNs = 300.0;
+  constexpr double kDimNs = 0.7;
+  constexpr double kLevelDimNs = 0.15;
+  constexpr double kRowNs = 5.0;
+  constexpr double kWordNs = 0.35;
+  constexpr double kScalarDimNs = 0.75;
+  const tax::Taxonomy& t = books_->taxonomy();
+  const double dim = static_cast<double>(books_->dim());
+  const double packed_row_ns =
+      kRowNs + kWordNs * static_cast<double>((books_->dim() + 63) / 64);
+  const std::size_t depth = resolve_depth(opts);
+  double ns = 0.0;
+  const auto add_class = [&](std::size_t cls) {
+    if (cls >= t.num_classes()) return;
+    const std::size_t levels = std::min(depth, t.depth(cls));
+    ns += kClassNs + dim * (kDimNs + kLevelDimNs * static_cast<double>(levels));
+    for (std::size_t l = 0; l < levels; ++l) {
+      const double row_ns =
+          memories_[cls][l].backend() == hdc::ScanBackend::kScalar
+              ? kScalarDimNs * dim
+              : packed_row_ns;
+      ns += row_ns * static_cast<double>(t.branching(cls)[l]);
+    }
+  };
+  if (opts.selected_classes.empty()) {
+    for (std::size_t c = 0; c < t.num_classes(); ++c) add_class(c);
+  } else {
+    for (std::size_t c : opts.selected_classes) add_class(c);
+  }
+  return static_cast<std::uint64_t>(ns);
 }
 
 ClassFactorization Factorizer::factorize_class_single(

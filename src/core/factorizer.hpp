@@ -141,6 +141,16 @@ struct FactorizeResult {
   bool operator==(const FactorizeResult&) const = default;
 };
 
+/// The one break-even of "is this work worth another thread?", in
+/// Factorizer::estimate_ns units. Spawning and joining one extra
+/// util::parallel_for worker costs 32-35 us on a 4-core AVX-512 VM, so a
+/// worker must take more work than that off its caller to pay; 50 us leaves
+/// room for the estimate's error. Two callers use it: BatchFactorizer's
+/// auto width gives each worker at least this much work, and the serving
+/// engine runs a request in place on the submitting thread only when it
+/// estimates at or under this much.
+inline constexpr std::uint64_t kBreakEvenNs = 50'000;
+
 class Factorizer {
  public:
   /// Non-owning view; `encoder` (and its codebooks) must outlive this.
@@ -219,6 +229,26 @@ class Factorizer {
   [[nodiscard]] std::vector<FactorizeResult> factorize_block(
       std::span<const hdc::Hypervector> targets,
       const FactorizeOptions& opts = {}) const;
+
+  /// Estimated single-thread time of factorize(target, opts) for one
+  /// target, in ns, computed from the model's shape alone (never timed):
+  /// per selected class a fixed cost, the unbind and the per-level query
+  /// packs (proportional to D), and the rows each level scans (the full
+  /// level-1 codebook, then one parent's children per deeper level), each
+  /// row costing a fixed step plus its plane words (a D-long dot on the
+  /// scalar backend). The coefficients were fitted to direct factorize()
+  /// timings on a 4-core AVX-512 VM. On the packed scans they are within
+  /// about 1.5x of them from 2 classes to 6, D = 64 to 8192 and 8 to 65536
+  /// rows; on the scalar backend within 2x, erring high. At paper scale
+  /// (3 classes, {32, 8}, D = 1024) it reads about 5 us packed and 97 us
+  /// scalar.
+  /// \param opts Options whose mode, selected_classes and max_depth are
+  ///   priced; selected classes out of range cost nothing (factorize
+  ///   rejects them at once).
+  /// \return The estimate; UINT64_MAX for multi-object options, whose
+  ///   residual loop runs until the data says stop (a cold Rep 3 scene at
+  ///   paper scale takes about 1-7 ms, far above kBreakEvenNs).
+  [[nodiscard]] std::uint64_t estimate_ns(const FactorizeOptions& opts) const;
 
   /// Convenience: single-object factorization of every class at full depth.
   /// \param target Encoded object HV.

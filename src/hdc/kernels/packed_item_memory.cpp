@@ -2,26 +2,13 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "util/env.hpp"
 #include "util/parallel.hpp"
 
 namespace factorhd::hdc::kernels {
 
-// Worker-pool width: FACTORHD_SCAN_THREADS when set (1 disables threading),
-// else min(hardware threads, 8). Registered in util::env_knobs().
-std::size_t scan_pool_width() {
-  static const std::size_t width = [] {
-    const std::size_t env = util::env_size_t("FACTORHD_SCAN_THREADS", 0, 0, 256);
-    if (env > 0) return env;
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    return std::min<std::size_t>(hw, 8);
-  }();
-  return width;
-}
+std::size_t scan_pool_width() { return util::pool_width(); }
 
 // A scan is worth threading only when its sequential time comfortably
 // exceeds util::parallel_for's per-call spawn+join overhead (tens of
@@ -37,7 +24,7 @@ std::size_t scan_width(std::size_t words, SimdLevel level,
                                     ? (std::size_t{1} << 16)
                                     : (std::size_t{1} << 20);
   if (words < min_words) return 1;
-  return util::parallel_width(std::min(scan_pool_width(), blocks));
+  return util::parallel_width(std::min(util::pool_width(), blocks));
 }
 
 namespace {

@@ -43,15 +43,14 @@
 
 namespace factorhd::hdc::kernels {
 
-/// Width of the scan worker pool: FACTORHD_SCAN_THREADS when set (1 disables
-/// threading), else min(hardware threads, 8). Cached on first use. Shared by
-/// the full-codebook scans here and ShardedItemMemory's scatter passes.
+/// Width of the scan worker pool: util::pool_width(), the one fork-join cap
+/// (FACTORHD_SCAN_THREADS when set, else min(hardware threads, 8)).
 [[nodiscard]] std::size_t scan_pool_width();
 
 /// Worker count for one scan over `words` plane words on SIMD tier `level`,
 /// split into at most `blocks` fixed pieces: 1 below the tier's break-even
 /// size or on a util::parallel_for worker (no nested fan-out), else
-/// min(scan_pool_width(), blocks). PackedItemMemory's row scans and
+/// min(util::pool_width(), blocks). PackedItemMemory's row scans and
 /// ShardedItemMemory's scatter passes both size themselves with it.
 [[nodiscard]] std::size_t scan_width(std::size_t words, SimdLevel level,
                                      std::size_t blocks) noexcept;

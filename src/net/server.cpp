@@ -14,6 +14,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -257,7 +258,16 @@ void NetServer::event_loop() {
   while (true) {
     events.clear();
     poller_->wait(50, events);
-    for (const PollEvent& ev : events) {
+    // The last readable connection of the batch: only its last frame may
+    // run in place, since no other connection has a frame waiting behind it.
+    std::size_t last_readable = events.size();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].readable && fd_to_id_.contains(events[i].fd)) {
+        last_readable = i;
+      }
+    }
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const PollEvent& ev = events[i];
       if (ev.fd == listen_fd_) {
         if (!draining_) accept_ready();
         continue;
@@ -275,7 +285,7 @@ void NetServer::event_loop() {
         close_connection(id, nullptr);
         continue;
       }
-      if (ev.readable) handle_readable(conns_.at(id));
+      if (ev.readable) handle_readable(conns_.at(id), i == last_readable);
       // handle_readable may have closed the connection.
       const auto it = conns_.find(id);
       if (it != conns_.end() && ev.writable) flush_writes(it->second);
@@ -331,10 +341,21 @@ void NetServer::accept_ready() {
   }
 }
 
-void NetServer::handle_readable(Connection& conn) {
+void NetServer::handle_readable(Connection& conn, bool last_in_batch) {
   const std::uint64_t id = conn.id;
   std::uint8_t buf[65536];
   std::vector<Frame> frames;
+  // The newest complete frame is held back until the socket runs dry: only
+  // then is it known to be the last frame this connection has sent.
+  std::optional<Frame> held;
+  std::chrono::steady_clock::time_point held_read_start{};
+  // Handles the held frame, if any. \return false once `conn` is closed.
+  const auto release_held = [&](service::Placement placement) {
+    if (!held) return true;
+    handle_frame(conn, std::move(*held), held_read_start, placement);
+    held.reset();
+    return conns_.contains(id);
+  };
   while (true) {
     const ssize_t n = ::read(conn.fd, buf, sizeof buf);
     if (n > 0) {
@@ -345,6 +366,7 @@ void NetServer::handle_readable(Connection& conn) {
                                                        static_cast<std::size_t>(n)),
                          frames);
       } catch (const ProtocolError& e) {
+        if (!release_held(service::Placement::kQueue)) return;
         // Framing violation: best-effort error frame, then disconnect once
         // it flushes. The parser is poisoned; stop reading this client.
         // close_after_flush is set first — append_response may close the
@@ -357,25 +379,34 @@ void NetServer::handle_readable(Connection& conn) {
                                encode_error(ErrorCode::kBadFrame, e.what())));
         return;
       }
-      for (Frame& frame : frames) {
-        handle_frame(conn, std::move(frame), read_start);
-        if (conns_.find(id) == conns_.end()) return;  // closed mid-batch
+      if (frames.empty()) continue;
+      if (!release_held(service::Placement::kQueue)) return;
+      for (std::size_t f = 0; f + 1 < frames.size(); ++f) {
+        handle_frame(conn, std::move(frames[f]), read_start,
+                     service::Placement::kQueue);
+        if (!conns_.contains(id)) return;  // closed mid-batch
       }
+      held = std::move(frames.back());
+      held_read_start = read_start;
       continue;
     }
-    if (n == 0) {  // orderly peer close (possibly with requests in flight)
-      close_connection(id, nullptr);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // Drained: the held frame is the last one the loop holds when no
+      // later connection in this poll batch is readable.
+      release_held(last_in_batch ? service::Placement::kInPlaceIfIdle
+                                 : service::Placement::kQueue);
       return;
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    close_connection(id, nullptr);
+    // Orderly peer close (possibly with requests in flight) or a read error.
+    if (release_held(service::Placement::kQueue)) close_connection(id, nullptr);
     return;
   }
 }
 
 void NetServer::handle_frame(Connection& conn, Frame&& frame,
-                             std::chrono::steady_clock::time_point read_start) {
+                             std::chrono::steady_clock::time_point read_start,
+                             service::Placement placement) {
   const auto now = std::chrono::steady_clock::now();
   conn.last_progress = now;  // a complete frame is protocol progress
   frames_in_.bump();
@@ -453,11 +484,12 @@ void NetServer::handle_frame(Connection& conn, Frame&& frame,
     return;
   }
   submit(conn, {conn.id, rid, (frame.header.flags & kFlagStream) != 0, now},
-         std::move(request));
+         std::move(request), placement);
 }
 
 void NetServer::submit(Connection& conn, const ReplyTo& to,
-                       FactorizeRequest&& request) {
+                       FactorizeRequest&& request,
+                       service::Placement placement) {
   bool refused;
   {
     // One critical section with stop()'s flip of draining_: stop() cannot
@@ -481,7 +513,8 @@ void NetServer::submit(Connection& conn, const ReplyTo& to,
       [this, to](std::exception_ptr error,
                  const core::FactorizeResult& result) {
         complete(to, std::move(error), result);
-      });
+      },
+      placement);
   net_metrics_.on_stage(
       service::Stage::kAdmission,
       us_between(to.arrival, std::chrono::steady_clock::now()));
@@ -653,8 +686,8 @@ void NetServer::complete(const ReplyTo& to, std::exception_ptr error,
     std::lock_guard lock(outbox_mu_);
     outbox_.push_back(std::move(out));
   }
-  // On the loop thread (a cache hit) the loop drains the outbox before it
-  // polls again; only other threads need the self-pipe.
+  // On the loop thread (a cache hit or an in-place run) the loop drains the
+  // outbox before it polls again; only other threads need the self-pipe.
   if (tls_loop_owner != this) wake_loop();
   // Last: once the count reaches zero stop() may return and destroy the
   // server, so nothing after this call may touch `this`.

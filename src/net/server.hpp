@@ -14,9 +14,19 @@
 //              engine.try_submit(target, opts, arrival + deadline hint,
 //                       │        callback)    full ──► kOverload (queue)
 //                       ▼                              │
-//              callback (cache hit: inline on the loop, written in the same
-//              iteration; computed: on the engine's batcher): serialize
-//              kPartial*/kResult frames, push to the outbox, wake the loop
+//              callback (cache hit or in-place run: inline on the loop,
+//              written in the same iteration; queued: on the engine's
+//              batcher): serialize kPartial*/kResult frames, push to the
+//              outbox, wake the loop
+//
+// Run to completion when idle: a connection is read until the socket runs
+// dry, and every frame is queued except the last one. When no later
+// connection of the same poll batch is readable, that last frame is the
+// only one the loop holds, so it is submitted with
+// Placement::kInPlaceIfIdle: a cheap single-object request meeting an empty
+// engine queue is factorized on the loop thread and answered in the same
+// iteration, skipping both thread hops. Bursts still batch on the
+// dispatcher, and overload still sheds with explicit rejects.
 //
 // Concurrency shape: exactly one thread, the event loop, owns every socket,
 // all connection state and the per-client quota counts — no locks on the
@@ -231,9 +241,13 @@ class NetServer {
   void event_loop();
 
   void accept_ready();
-  void handle_readable(Connection& conn);
+  /// Reads `conn` dry and handles its frames. Every frame is queued except
+  /// the last one, which may run in place when `last_in_batch` (no later
+  /// connection in this poll batch is readable).
+  void handle_readable(Connection& conn, bool last_in_batch);
   void handle_frame(Connection& conn, Frame&& frame,
-                    std::chrono::steady_clock::time_point read_start);
+                    std::chrono::steady_clock::time_point read_start,
+                    service::Placement placement);
   void flush_writes(Connection& conn);
   void append_response(Connection& conn, std::span<const std::uint8_t> bytes);
   void drain_outbox();
@@ -242,7 +256,8 @@ class NetServer {
   void update_poll_interest(Connection& conn);
   void wake_loop();
   /// Submits a decoded factorize request to the engine, or answers it.
-  void submit(Connection& conn, const ReplyTo& to, FactorizeRequest&& request);
+  void submit(Connection& conn, const ReplyTo& to, FactorizeRequest&& request,
+              service::Placement placement);
   /// The one completion path of a submitted request — engine result, failed
   /// flight, or a stopped engine: encodes the response, hands it to the
   /// loop, and ends the dispatch (see stop()).

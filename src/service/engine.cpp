@@ -90,7 +90,7 @@ void FactorizationEngine::submit(hdc::Hypervector target,
                                  Completion done) {
   switch (enqueue(std::move(target), std::move(opts),
                   std::chrono::steady_clock::now(), std::move(done),
-                  !opts_.reject_when_full)) {
+                  !opts_.reject_when_full, Placement::kQueue)) {
     case SubmitStatus::kAccepted:
       return;
     case SubmitStatus::kQueueFull:
@@ -102,15 +102,16 @@ void FactorizationEngine::submit(hdc::Hypervector target,
 
 SubmitStatus FactorizationEngine::try_submit(
     hdc::Hypervector target, core::FactorizeOptions opts,
-    std::chrono::steady_clock::time_point deadline, Completion done) {
+    std::chrono::steady_clock::time_point deadline, Completion done,
+    Placement placement) {
   return enqueue(std::move(target), std::move(opts), deadline,
-                 std::move(done), false);
+                 std::move(done), false, placement);
 }
 
 SubmitStatus FactorizationEngine::enqueue(
     hdc::Hypervector target, core::FactorizeOptions opts,
     std::chrono::steady_clock::time_point deadline, Completion done,
-    bool block) {
+    bool block, Placement placement) {
   if (target.dim() != model_->books().dim()) {
     throw std::invalid_argument(
         "FactorizationEngine::submit: target dimension " +
@@ -161,6 +162,10 @@ SubmitStatus FactorizationEngine::enqueue(
     return SubmitStatus::kAccepted;
   }
   const auto cache_done = std::chrono::steady_clock::now();
+  const bool may_run_here =
+      placement == Placement::kInPlaceIfIdle && !opts.multi_object &&
+      opts_.max_delay_us == 0 &&
+      model_->factorizer().estimate_ns(opts) <= core::kBreakEvenNs;
 
   Request req;
   req.target = std::move(target);
@@ -182,6 +187,17 @@ SubmitStatus FactorizationEngine::enqueue(
     // stop() began since the first check, or woke a blocked submit: the
     // request was never enqueued.
     if (stopping_) return SubmitStatus::kStopped;
+    if (may_run_here && queue_.empty()) {
+      // Counted before the completion runs, so live snapshots keep
+      // completed <= submitted.
+      metrics_.on_submitted();
+      metrics_.on_cache_miss();
+      metrics_.on_in_place();
+      metrics_.on_stage(Stage::kCacheLookup, us_between(start, cache_done));
+      lock.unlock();
+      run_in_place(req);
+      return SubmitStatus::kAccepted;
+    }
     if (queue_.size() >= opts_.queue_capacity) {
       metrics_.on_rejected();
       return SubmitStatus::kQueueFull;
@@ -316,7 +332,6 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
     for (std::size_t u = 0; u < targets.size(); ++u) {
       cache_.insert(target_keys[u], targets[u], gopts, results[u]);
     }
-    const bool build_traces = slow_log_.enabled();
     for (std::size_t j = 0; j < group.size(); ++j) {
       Request& r = flight[group[j]];
       const core::FactorizeResult& result = results[rep[j]];
@@ -328,27 +343,60 @@ void FactorizationEngine::run_flight(std::vector<Request> flight,
       metrics.on_stage(Stage::kScan, us_between(scan_start, scan_end));
       metrics.on_stage(Stage::kMerge, us_between(scan_end, done));
       metrics.on_completed(us_since(r.submitted));
-      if (r.traced || build_traces) {
-        RequestTrace t;
-        t.id = r.trace_id;
-        t.submit_ns = trace_ring_.since_origin_ns(r.submitted);
-        t.cache_done_ns = trace_ring_.since_origin_ns(r.cache_done);
-        t.enqueue_ns = trace_ring_.since_origin_ns(r.enqueued);
-        t.dequeue_ns = trace_ring_.since_origin_ns(r.dequeued);
-        t.scan_start_ns = trace_ring_.since_origin_ns(scan_start);
-        t.scan_end_ns = trace_ring_.since_origin_ns(scan_end);
-        t.complete_ns = trace_ring_.since_origin_ns(done);
-        t.cache_hit = false;
-        t.dispatcher = index;
-        t.batch_size = static_cast<std::uint32_t>(group.size());
-        t.shards = model_->factorizer().shards();
-        t.rows_scanned = result.similarity_ops;
-        t.rounds = result.rounds;
-        slow_log_.observe(t);
-        if (r.traced) trace_ring_.record(t);
-      }
+      observe(r, scan_start, scan_end, done, result, index,
+              static_cast<std::uint32_t>(group.size()), false);
     }
   }
+}
+
+void FactorizationEngine::run_in_place(Request& r) {
+  const auto scan_start = std::chrono::steady_clock::now();
+  core::FactorizeResult result;
+  try {
+    result = model_->factorizer().factorize(r.target, r.opts);
+  } catch (...) {
+    complete(r.done, std::current_exception(), core::FactorizeResult{});
+    metrics_.on_completed(us_since(r.submitted));
+    return;
+  }
+  const auto scan_end = std::chrono::steady_clock::now();
+  cache_.insert(r.key, r.target, r.opts, result);
+  complete(r.done, nullptr, result);
+  const auto done = std::chrono::steady_clock::now();
+  // No queue-wait or batch-assembly sample, and no batch: those stages
+  // describe dispatcher flights, which this request never joined.
+  metrics_.on_stage(Stage::kScan, us_between(scan_start, scan_end));
+  metrics_.on_stage(Stage::kMerge, us_between(scan_end, done));
+  metrics_.on_completed(us_since(r.submitted));
+  observe(r, scan_start, scan_end, done, result, 0, 1, true);
+}
+
+void FactorizationEngine::observe(
+    const Request& r, std::chrono::steady_clock::time_point scan_start,
+    std::chrono::steady_clock::time_point scan_end,
+    std::chrono::steady_clock::time_point done,
+    const core::FactorizeResult& result, std::uint32_t dispatcher,
+    std::uint32_t batch_size, bool in_place) {
+  if (!r.traced && !slow_log_.enabled()) return;
+  RequestTrace t;
+  t.id = r.trace_id;
+  t.submit_ns = trace_ring_.since_origin_ns(r.submitted);
+  t.cache_done_ns = trace_ring_.since_origin_ns(r.cache_done);
+  if (!in_place) {
+    t.enqueue_ns = trace_ring_.since_origin_ns(r.enqueued);
+    t.dequeue_ns = trace_ring_.since_origin_ns(r.dequeued);
+  }
+  t.scan_start_ns = trace_ring_.since_origin_ns(scan_start);
+  t.scan_end_ns = trace_ring_.since_origin_ns(scan_end);
+  t.complete_ns = trace_ring_.since_origin_ns(done);
+  t.in_place = in_place;
+  t.dispatcher = dispatcher;
+  t.batch_size = batch_size;
+  t.shards = model_->factorizer().shards();
+  t.rows_scanned = result.similarity_ops;
+  t.rounds = result.rounds;
+  slow_log_.observe(t);
+  if (r.traced) trace_ring_.record(t);
 }
 
 void FactorizationEngine::batcher_loop(DispatcherState& state,

@@ -1,11 +1,15 @@
 // FactorizationEngine: the asynchronous serving runtime over a Model.
 //
 //   submit(target, opts, done)                deadline = submit time
-//   try_submit(target, opts, deadline, done)  never blocks
+//   try_submit(target, opts, deadline, done[, placement])  never blocks
 //        │
 //        ▼
 //   ResultCache probe ──hit──► done(result) inline on the caller
 //        │ miss
+//        ▼
+//   kInPlaceIfIdle, single-object, estimate <= core::kBreakEvenNs,
+//   max_delay_us == 0 and the queue empty ──► Factorizer::factorize on the
+//        │ otherwise                     caller, cache insert, done(result)
 //        ▼
 //   bounded min-heap on (deadline, submit seq): earliest deadline first,
 //        │  FIFO among equal deadlines. Full: submit() blocks or throws
@@ -16,14 +20,18 @@
 //        │  max_batch; groups by identical FactorizeOptions, coalesces
 //        │  duplicate targets within the flight
 //        ▼
-//   core::BatchFactorizer::factorize_all  (worker pool over the shared
-//        │                                 packed-SIMD scan planes)
+//   core::BatchFactorizer::factorize_all  (fans out over the shared packed
+//        │                                 scan planes when the work pays)
 //        ▼
 //   done(result) or done(error) + insert into ResultCache + record Metrics
 //
 // One completion path: every accepted request ends in exactly one call of
-// its Completion — a cache hit inline on the submitting thread; a computed,
-// coalesced or failed request on the batcher thread that ran its flight.
+// its Completion — a cache hit or an in-place run inline on the submitting
+// thread; a queued (computed, coalesced or failed) request on the batcher
+// thread that ran its flight. Only a try_submit caller that asks for
+// Placement::kInPlaceIfIdle (the net event loop, for the last frame it
+// holds) can get an in-place run: while the system is idle, a cheap request
+// is finished where it landed instead of paying two thread hops.
 // The future-returning submit() is a thin wrapper that fulfills a promise
 // from that callback.
 //
@@ -91,7 +99,8 @@ struct ServiceOptions {
   /// (factorizer().shards(), >= 1), so an engine over a resharded model
   /// scales its dispatch width with the partition automatically.
   std::size_t dispatchers = 1;
-  /// Worker threads of the internal BatchFactorizer; 0 = hardware.
+  /// Worker threads of the internal BatchFactorizer; 0 = auto width
+  /// (core::BatchFactorizer::width: fan out only when the work pays).
   std::size_t batch_threads = 0;
   /// ResultCache entry budget; 0 disables result caching.
   std::size_t cache_capacity = 4096;
@@ -130,17 +139,30 @@ class EngineStoppedError : public std::runtime_error {
 };
 
 /// Called exactly once per accepted request. On success `error` is null and
-/// `result` is the answer; when the request's flight failed, `error` holds
-/// the exception and `result` is empty. It runs on the submitting thread
-/// for a cache hit and on a batcher thread otherwise, with no engine lock
-/// held. It must not throw (a throw terminates the process) and should not
-/// block: a batcher thread completes its whole flight before taking more.
+/// `result` is the answer; when the request's computation failed, `error`
+/// holds the exception and `result` is empty. It runs on the submitting
+/// thread for a cache hit or an in-place run (try_submit with
+/// Placement::kInPlaceIfIdle) and on a batcher thread otherwise, with no
+/// engine lock held. It must not throw (a throw terminates the process) and
+/// should not block: a batcher thread completes its whole flight before
+/// taking more.
 using Completion = std::function<void(std::exception_ptr error,
                                       const core::FactorizeResult& result)>;
 
+/// Where try_submit() may compute a request the cache cannot answer.
+enum class Placement : std::uint8_t {
+  kQueue,  ///< always through the queue and a batcher thread
+  /// On the calling thread, before try_submit returns, when the request is
+  /// single-object, estimated at or under core::kBreakEvenNs, the engine
+  /// has max_delay_us == 0 and its queue is empty (so no queued earlier
+  /// deadline is overtaken); through the queue otherwise.
+  kInPlaceIfIdle,
+};
+
 /// try_submit() outcome. Only kAccepted leads to a Completion call.
 enum class SubmitStatus : std::uint8_t {
-  kAccepted,   ///< queued, or answered from the cache before returning
+  kAccepted,   ///< queued, or answered (cache hit, in-place run) before
+               ///< returning
   kQueueFull,  ///< the queue holds queue_capacity requests
   kStopped,    ///< stop() has begun
 };
@@ -152,12 +174,12 @@ enum class SubmitStatus : std::uint8_t {
 /// core::FactorizeResult that is bit-identical (doubles included) to a direct
 /// `Factorizer::factorize(target, opts)` call on the same Model —
 /// regardless of batch composition, dispatcher/worker thread counts,
-/// duplicate coalescing, or cache state. The guarantee composes from
-/// three facts: factorization is a pure function of `(target, opts)`
-/// (every codebook scan is exact and deterministic), BatchFactorizer is
-/// deterministic across thread
-/// counts, and the ResultCache verifies full key equality before serving
-/// (collision ⇒ miss; see service/result_cache.hpp). Asserted
+/// duplicate coalescing, cache state, or whether it ran in place. The
+/// guarantee composes from three facts: factorization is a pure function of
+/// `(target, opts)` (every codebook scan is exact and deterministic),
+/// BatchFactorizer is deterministic across thread counts, and the
+/// ResultCache verifies full key equality before serving (collision ⇒
+/// miss; see service/result_cache.hpp). Asserted
 /// differentially by tests/test_service_engine.cpp and under
 /// ThreadSanitizer by tests/test_service_soak.cpp.
 class FactorizationEngine {
@@ -196,13 +218,20 @@ class FactorizationEngine {
   /// Non-blocking submit for an event loop: never waits for queue space,
   /// whatever reject_when_full says, and queues the request by `deadline`
   /// (earliest first, FIFO among equal deadlines) rather than by its submit
-  /// time. A cache hit completes inline before the call returns.
+  /// time. A cache hit completes inline before the call returns, and so
+  /// does an in-place run (see Placement).
+  /// \param placement kInPlaceIfIdle lets a cheap request run on this
+  ///   thread while the engine is idle. Ask for it only where running one
+  ///   request's factorization inline is acceptable, and only for the last
+  ///   request the caller holds: every earlier one should queue, so bursts
+  ///   still batch.
   /// \return kAccepted when `done` has run or will run exactly once; any
   ///   other status means `done` is never called.
   /// \throws std::invalid_argument On a dimension mismatch.
   [[nodiscard]] SubmitStatus try_submit(
       hdc::Hypervector target, core::FactorizeOptions opts,
-      std::chrono::steady_clock::time_point deadline, Completion done);
+      std::chrono::steady_clock::time_point deadline, Completion done,
+      Placement placement = Placement::kQueue);
 
   /// submit() with a future instead of a callback: the promise is fulfilled
   /// from the Completion. Same throws.
@@ -213,7 +242,9 @@ class FactorizationEngine {
   /// Stops accepting new submissions, drains every queued request through
   /// the batch path, and joins the batcher thread. Idempotent; called by
   /// the destructor. After stop(), every accepted request's Completion has
-  /// run (so every future obtained from submit() is ready).
+  /// run (so every future obtained from submit() is ready), except that a
+  /// submit call still running on another thread (a cache hit or an
+  /// in-place run) completes on that thread before the call returns.
   void stop();
 
   /// \return Counter snapshot, safe to call at any time while serving.
@@ -282,11 +313,23 @@ class FactorizationEngine {
     std::atomic<std::size_t> inflight{0};
   };
 
-  /// The one submit path: cache probe, then a heap push keyed by
-  /// `deadline`. `block` waits for queue space instead of reporting full.
+  /// The one submit path: cache probe, then an in-place run (see
+  /// Placement) or a heap push keyed by `deadline`. `block` waits for queue
+  /// space instead of reporting full.
   SubmitStatus enqueue(hdc::Hypervector target, core::FactorizeOptions opts,
                        std::chrono::steady_clock::time_point deadline,
-                       Completion done, bool block);
+                       Completion done, bool block, Placement placement);
+  /// Computes one request on the calling thread, with the bookkeeping of
+  /// the batcher path (cache insert, one completion, metrics, trace).
+  void run_in_place(Request& r);
+  /// Feeds the slow-query log and, when sampled, the trace ring with one
+  /// computed request's trace.
+  void observe(const Request& r,
+               std::chrono::steady_clock::time_point scan_start,
+               std::chrono::steady_clock::time_point scan_end,
+               std::chrono::steady_clock::time_point done,
+               const core::FactorizeResult& result, std::uint32_t dispatcher,
+               std::uint32_t batch_size, bool in_place);
   void batcher_loop(DispatcherState& state, std::uint32_t index);
   /// Collects one flight from the queue (respecting max_batch/max_delay_us).
   /// Returns an empty vector when stopping and the queue is drained.

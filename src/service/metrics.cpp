@@ -174,6 +174,7 @@ MetricsSnapshot Metrics::snapshot(std::size_t queue_depth) const {
   s.batches = batches_.load(std::memory_order_acquire);
   s.batched_requests = batched_requests_.load(std::memory_order_acquire);
   s.coalesced = coalesced_.load(std::memory_order_acquire);
+  s.in_place = in_place_.load(std::memory_order_acquire);
   s.submitted = submitted_.load(std::memory_order_acquire);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.max_batch_observed =
@@ -197,6 +198,7 @@ MetricsSnapshot MetricsSnapshot::since(const MetricsSnapshot& baseline) const {
   d.batches = minus(batches, baseline.batches);
   d.batched_requests = minus(batched_requests, baseline.batched_requests);
   d.coalesced = minus(coalesced, baseline.coalesced);
+  d.in_place = minus(in_place, baseline.in_place);
   for (std::size_t i = 0; i < latency_buckets.size(); ++i) {
     d.latency_buckets[i] =
         minus(latency_buckets[i], baseline.latency_buckets[i]);
@@ -231,6 +233,8 @@ void Metrics::merge(const Metrics& other) noexcept {
       other.batched_requests_.load(std::memory_order_acquire);
   const std::uint64_t coalesced =
       other.coalesced_.load(std::memory_order_acquire);
+  const std::uint64_t in_place =
+      other.in_place_.load(std::memory_order_acquire);
   const std::uint64_t submitted =
       other.submitted_.load(std::memory_order_acquire);
   const std::uint64_t rejected = other.rejected_.load(std::memory_order_relaxed);
@@ -242,6 +246,7 @@ void Metrics::merge(const Metrics& other) noexcept {
   batches_.fetch_add(batches, std::memory_order_relaxed);
   batched_requests_.fetch_add(batched, std::memory_order_relaxed);
   coalesced_.fetch_add(coalesced, std::memory_order_relaxed);
+  in_place_.fetch_add(in_place, std::memory_order_relaxed);
   submitted_.fetch_add(submitted, std::memory_order_relaxed);
   rejected_.fetch_add(rejected, std::memory_order_relaxed);
   std::uint64_t prev = max_batch_.load(std::memory_order_relaxed);
@@ -273,7 +278,8 @@ std::string MetricsSnapshot::to_string() const {
      << "cache:    " << cache_hits << " hits, " << cache_misses
      << " misses, " << coalesced << " coalesced in-batch\n"
      << "batches:  " << batches << " dispatched, mean " << mean_batch
-     << " req/batch, max " << max_batch_observed << "\n"
+     << " req/batch, max " << max_batch_observed << ", " << in_place
+     << " run in place\n"
      << "latency:  p50 ~ " << p50_latency_us << " us, p99 ~ "
      << p99_latency_us << " us, p99.9 ~ " << p999_latency_us
      << " us (power-of-2 bucket midpoints, +/- sqrt(2))";
@@ -316,6 +322,9 @@ std::string MetricsSnapshot::to_prometheus() const {
           "Requests carried by dispatched micro-batches.", batched_requests);
   counter("factorhd_coalesced_total", "Duplicate requests deduped in-batch.",
           coalesced);
+  counter("factorhd_in_place_total",
+          "Cache misses computed on the submitting thread, outside any batch.",
+          in_place);
   os << "# HELP factorhd_queue_depth Pending requests at scrape time.\n"
      << "# TYPE factorhd_queue_depth gauge\n"
      << "factorhd_queue_depth " << queue_depth << "\n";

@@ -31,8 +31,9 @@
 namespace factorhd::service {
 
 /// Pipeline stages request latency is attributed to. kCacheLookup is
-/// recorded for every request (hit or miss); the queue-to-merge stages
-/// only for computed (cache-miss) requests. The kNet* stages are recorded
+/// recorded for every request (hit or miss); kScan and kMerge for every
+/// computed (cache-miss) request; kQueueWait and kBatchAssembly only for
+/// computed requests that went through the queue (not in-place runs). The kNet* stages are recorded
 /// by the network front end (net::NetServer keeps its own Metrics set);
 /// engine-owned Metrics leave them empty.
 enum class Stage : std::size_t {
@@ -66,6 +67,9 @@ struct MetricsSnapshot {
   std::uint64_t batches = 0;        ///< micro-batches dispatched
   std::uint64_t batched_requests = 0;  ///< requests carried by those batches
   std::uint64_t coalesced = 0;      ///< duplicate requests deduped in-batch
+  /// Cache misses computed on the submitting thread instead of a dispatcher
+  /// (not counted in batches).
+  std::uint64_t in_place = 0;
   std::size_t queue_depth = 0;      ///< pending requests at snapshot time
   std::size_t max_batch_observed = 0;
   double mean_batch = 0.0;          ///< batched_requests / batches
@@ -127,6 +131,7 @@ class Metrics {
   void on_cache_hit() noexcept { inc(cache_hits_); }
   void on_cache_miss() noexcept { inc(cache_misses_); }
   void on_coalesced() noexcept { inc(coalesced_); }
+  void on_in_place() noexcept { inc(in_place_); }
 
   /// Records one dispatched micro-batch of `requests` requests.
   void on_batch(std::size_t requests) noexcept;
@@ -180,6 +185,7 @@ class Metrics {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_requests_{0};
   std::atomic<std::uint64_t> coalesced_{0};
+  std::atomic<std::uint64_t> in_place_{0};
   std::atomic<std::uint64_t> max_batch_{0};
   /// latency_ns histogram: bucket i counts latencies in [2^i, 2^(i+1)) ns.
   Histogram latency_buckets_{};

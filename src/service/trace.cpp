@@ -18,7 +18,8 @@ struct StageSpan {
 };
 
 /// The per-stage decomposition of a trace, in pipeline order. Cache hits
-/// only populate cache_lookup (they never enter the queue).
+/// only populate cache_lookup (they never enter the queue); in-place runs
+/// skip queue_wait and batch_assembly.
 std::vector<StageSpan> stage_spans(const RequestTrace& t) {
   std::vector<StageSpan> spans;
   spans.push_back({"cache_lookup", t.submit_ns, t.cache_done_ns});
@@ -33,6 +34,7 @@ double to_us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
 
 void append_args(std::ostringstream& os, const RequestTrace& t) {
   os << "{\"cache_hit\":" << (t.cache_hit ? "true" : "false")
+     << ",\"in_place\":" << (t.in_place ? "true" : "false")
      << ",\"dispatcher\":" << t.dispatcher
      << ",\"batch_size\":" << t.batch_size << ",\"shards\":" << t.shards
      << ",\"rows_scanned\":" << t.rows_scanned

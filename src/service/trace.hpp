@@ -70,6 +70,8 @@ struct RequestTrace {
   std::uint64_t complete_ns = 0;    ///< completion run
 
   bool cache_hit = false;
+  /// Computed on the submitting thread (no queue_wait / batch_assembly).
+  bool in_place = false;
   std::uint32_t dispatcher = 0;  ///< dispatcher that ran the flight
   std::uint32_t batch_size = 0;  ///< requests in the options-group batch
   std::uint64_t shards = 0;      ///< scan shard fan-out of the model

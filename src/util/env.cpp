@@ -54,7 +54,8 @@ std::span<const EnvKnob> env_knobs() {
        "net server: per-connection write-buffer byte bound; clients not "
        "draining responses are disconnected at the limit"},
       {"FACTORHD_SCAN_THREADS", "0 (auto) .. 256", "0 = min(hardware, 8)",
-       "plane-scan worker-pool width; 1 disables scan threading"},
+       "width cap of every worker pool (plane scans, shard scatters, "
+       "auto-width batches); 1 disables threading"},
       {"FACTORHD_SEED", "any u64", "42", "global experiment seed"},
       {"FACTORHD_SERVE_CACHE_CAP", "0 (off) .. 2^24", "4096",
        "factorhd_serve: ResultCache entries"},

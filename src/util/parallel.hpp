@@ -20,6 +20,9 @@
 // nested parallel_for on it runs its tasks inline and in order, so thread
 // counts never multiply. parallel_width() reports this to callers that size
 // their work (or pick a sequential fast path) from the width.
+//
+// Width: pool_width() is the one cap on how many threads any fork-join
+// uses — plane scans, shard scatters and auto-width batches alike.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +30,15 @@
 #include <functional>
 
 namespace factorhd::util {
+
+/// Widest fork-join any caller should ask for: FACTORHD_SCAN_THREADS when
+/// set (1 disables threading), else min(hardware threads, 8). Read once.
+[[nodiscard]] std::size_t pool_width();
+
+/// Threads util::parallel_for has spawned in this process so far (the
+/// caller's own share of the work is not counted). Tests read it to check
+/// that a call ran without fanning out.
+[[nodiscard]] std::size_t threads_spawned() noexcept;
 
 /// `requested`, or 1 on a thread that is working on a fanned-out
 /// parallel_for call (where a nested call would run inline anyway).

@@ -1,9 +1,14 @@
 // Unit tests for multi-threaded batch factorization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/batch.hpp"
 #include "core/encoder.hpp"
 #include "taxonomy/generator.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -143,6 +148,94 @@ TEST_F(BatchTest, SimilarityOpCountersStayConsistent) {
   for (const auto& r : results) total += r.similarity_ops;
   // Rep 1 cost per target: F * (M + null) = 3 * 17.
   EXPECT_EQ(total, 32u * 3u * 17u);
+}
+
+// Auto width (num_threads == 0) on the paper-scale model (F = 3, {32, 8},
+// D = 1024): a flight fans out only when its estimated work gives every
+// worker at least kBreakEvenNs.
+class PaperBatchTest : public ::testing::Test {
+ protected:
+  PaperBatchTest()
+      : rng_(24), taxonomy_(3, {32, 8}), books_(taxonomy_, 1024, rng_),
+        encoder_(books_), factorizer_(encoder_) {}
+
+  std::vector<hdc::Hypervector> targets(std::size_t n) {
+    std::vector<hdc::Hypervector> out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(encoder_.encode_object(tax::random_object(taxonomy_, rng_)));
+    }
+    return out;
+  }
+
+  /// Runs the batch, checks it against direct factorize, and returns the
+  /// number of threads util::parallel_for spawned meanwhile.
+  std::size_t spawned_by(const BatchFactorizer& batcher,
+                         const std::vector<hdc::Hypervector>& batch) {
+    const std::size_t before = util::threads_spawned();
+    const auto results = batcher.factorize_all(batch, {});
+    const std::size_t spawned = util::threads_spawned() - before;
+    EXPECT_EQ(results.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(results[i] == factorizer_.factorize(batch[i]))
+          << "target " << i;
+    }
+    return spawned;
+  }
+
+  util::Xoshiro256 rng_;
+  tax::Taxonomy taxonomy_;
+  tax::TaxonomyCodebooks books_;
+  Encoder encoder_;
+  Factorizer factorizer_;
+};
+
+TEST_F(PaperBatchTest, EstimateMakesOneObjectCheap) {
+  EXPECT_LE(factorizer_.estimate_ns({}), kBreakEvenNs);
+  FactorizeOptions multi;
+  multi.multi_object = true;
+  EXPECT_GT(factorizer_.estimate_ns(multi), kBreakEvenNs);
+  FactorizeOptions partial;
+  partial.selected_classes = {1};
+  partial.max_depth = 1;
+  EXPECT_LT(factorizer_.estimate_ns(partial), factorizer_.estimate_ns({}));
+}
+
+TEST_F(PaperBatchTest, EstimatePricesScalarScansAboveTheBreakEven) {
+  // A D-long integer dot per row instead of 16 plane words: the same model
+  // on the scalar backend takes about 50-100 us a target.
+  const Factorizer scalar(encoder_, hdc::ScanBackend::kScalar);
+  EXPECT_GT(scalar.estimate_ns({}), kBreakEvenNs);
+  EXPECT_GT(scalar.estimate_ns({}), 10 * factorizer_.estimate_ns({}));
+}
+
+TEST_F(PaperBatchTest, AutoWidthRunsTwoOrThreeTargetsOnTheCaller) {
+  const BatchFactorizer batcher(factorizer_);
+  for (std::size_t n : {std::size_t{2}, std::size_t{3}}) {
+    SCOPED_TRACE("targets=" + std::to_string(n));
+    EXPECT_EQ(batcher.width(n, {}), 1u);
+    EXPECT_EQ(spawned_by(batcher, targets(n)), 0u);
+  }
+}
+
+TEST_F(PaperBatchTest, AutoWidthFansOutSixtyFourTargets) {
+  const BatchFactorizer batcher(factorizer_);
+  const std::size_t width = batcher.width(64, {});
+  EXPECT_EQ(width, std::min<std::size_t>(util::pool_width(), 4))
+      << "64 paper targets carry at least 4 break-evens of work";
+  EXPECT_EQ(spawned_by(batcher, targets(64)), width - 1);
+}
+
+TEST_F(PaperBatchTest, ExplicitThreadsAreHonoured) {
+  const BatchFactorizer batcher(factorizer_, {.num_threads = 2});
+  EXPECT_EQ(batcher.width(2, {}), 2u);
+  EXPECT_EQ(spawned_by(batcher, targets(2)), 1u);
+}
+
+TEST_F(PaperBatchTest, MultiObjectBatchesFanOutToTheCap) {
+  FactorizeOptions multi;
+  multi.multi_object = true;
+  const BatchFactorizer batcher(factorizer_);
+  EXPECT_EQ(batcher.width(2, multi), batcher.effective_threads(2));
 }
 
 }  // namespace

@@ -172,4 +172,72 @@ TEST_F(NetDifferentialTest, StreamedShardedCachedPipelined) {
   run_differential(engine, /*pipeline_depth=*/16, /*stream=*/true);
 }
 
+TEST_F(NetDifferentialTest, LoneFrameRunsInPlaceOnTheLoop) {
+  // One request outstanding at a time: every frame is the only one the loop
+  // holds and the engine queue is empty, so each single-object request runs
+  // in place on the loop thread. Scenes still go to the dispatcher.
+  build(/*shards=*/1);
+  service::FactorizationEngine engine(model_, {.cache_capacity = 0});
+  run_differential(engine, /*pipeline_depth=*/1, /*stream=*/false);
+  engine.stop();
+  std::size_t singles = 0;
+  for (const WorkItem& item : work_) singles += item.opts.multi_object ? 0 : 1;
+  const auto m = engine.metrics();
+  EXPECT_EQ(m.in_place, singles);
+  EXPECT_EQ(m.batched_requests, work_.size() - singles);
+  EXPECT_EQ(m.completed, work_.size());
+}
+
+TEST_F(NetDifferentialTest, PipelinedBurstRunsAtMostItsLastFrameInPlace) {
+  // Every single-object frame of the workload written with one send, so the
+  // loop reads them as one burst: all but the last must queue (and batch),
+  // and the last may run in place only if the dispatcher has already
+  // emptied the queue.
+  build(/*shards=*/1);
+  service::FactorizationEngine engine(
+      model_, {.cache_capacity = 0, .trace_sample = 1});
+  net::NetServer server(engine, {});
+  server.start();
+  net::NetClient client("127.0.0.1", server.port());
+  client.set_recv_timeout(30s);
+
+  std::vector<std::uint8_t> burst;
+  std::unordered_map<std::uint64_t, std::size_t> id_to_item;
+  for (std::size_t i = 0; i < work_.size(); ++i) {
+    if (work_[i].opts.multi_object) continue;
+    net::FactorizeRequest req;
+    req.opts = work_[i].opts;
+    req.target = work_[i].target;
+    const std::uint64_t id = 1000 + i;
+    const auto frame = net::encode_frame(net::Opcode::kFactorize, 0, id,
+                                         net::encode_factorize_request(req));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+    id_to_item.emplace(id, i);
+  }
+  const std::size_t n = id_to_item.size();
+  client.send_raw(burst);
+  for (std::size_t r = 0; r < n; ++r) {
+    const net::NetClient::Response resp = client.recv_response();
+    ASSERT_EQ(resp.kind, net::NetClient::Response::Kind::kResult);
+    const auto it = id_to_item.find(resp.request_id);
+    ASSERT_NE(it, id_to_item.end()) << "unknown or repeated request id";
+    EXPECT_TRUE(resp.result == work_[it->second].expected)
+        << "wire result differs from direct factorize at item " << it->second;
+    id_to_item.erase(it);
+  }
+  server.stop();
+  engine.stop();
+
+  const auto m = engine.metrics();
+  EXPECT_LE(m.in_place, 1u);
+  EXPECT_EQ(m.in_place + m.batched_requests, n);
+  EXPECT_GE(m.batches, 1u);
+  // Engine trace ids follow submit order: only the last may be in place.
+  const auto traces = engine.trace_samples();
+  ASSERT_EQ(traces.size(), n);
+  for (std::size_t i = 0; i + 1 < traces.size(); ++i) {
+    EXPECT_FALSE(traces[i].in_place) << "frame " << i << " of the burst";
+  }
+}
+
 }  // namespace

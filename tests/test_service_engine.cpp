@@ -542,6 +542,208 @@ TEST_F(ServiceEngineTest, CoalescingKeysOnGlobalIdentityUnderSharding) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// In-place runs: try_submit with Placement::kInPlaceIfIdle computes a cheap
+// single-object request on the calling thread when the engine is idle, and
+// queues everything else exactly as before.
+// ---------------------------------------------------------------------------
+
+/// Where and how often one request's completion ran.
+struct Landing {
+  std::atomic<int> calls{0};
+  std::thread::id thread;
+  core::FactorizeResult result;
+  std::exception_ptr error;
+};
+
+service::Completion record_into(Landing& landing) {
+  return [&landing](std::exception_ptr error,
+                    const core::FactorizeResult& result) {
+    landing.thread = std::this_thread::get_id();
+    landing.result = result;
+    landing.error = std::move(error);
+    landing.calls.fetch_add(1);
+  };
+}
+
+TEST_F(ServiceEngineTest, InPlaceRunMatchesDirectOnTheCallingThreadOnce) {
+  service::FactorizationEngine engine(
+      model_, {.cache_capacity = 0, .trace_sample = 1});
+  std::size_t singles = 0;
+  for (const WorkItem& item : work_) {
+    if (item.opts.multi_object) continue;
+    ++singles;
+    Landing landing;
+    ASSERT_EQ(engine.try_submit(item.target, item.opts,
+                                std::chrono::steady_clock::now(),
+                                record_into(landing),
+                                service::Placement::kInPlaceIfIdle),
+              service::SubmitStatus::kAccepted);
+    EXPECT_EQ(landing.calls.load(), 1)
+        << "an in-place run completes before try_submit returns";
+    EXPECT_EQ(landing.thread, std::this_thread::get_id());
+    EXPECT_FALSE(landing.error);
+    EXPECT_TRUE(landing.result == item.expected)
+        << "in-place result differs from direct factorize";
+  }
+  engine.stop();
+  const auto m = engine.metrics();
+  EXPECT_EQ(m.in_place, singles);
+  EXPECT_EQ(m.submitted, singles);
+  EXPECT_EQ(m.completed, singles);
+  EXPECT_EQ(m.cache_misses, singles);
+  EXPECT_EQ(m.batches, 0u) << "in-place runs are not dispatcher batches";
+  const auto stage = [&](service::Stage s) {
+    return m.stages[static_cast<std::size_t>(s)].count;
+  };
+  EXPECT_EQ(stage(service::Stage::kCacheLookup), singles);
+  EXPECT_EQ(stage(service::Stage::kScan), singles);
+  EXPECT_EQ(stage(service::Stage::kMerge), singles);
+  EXPECT_EQ(stage(service::Stage::kQueueWait), 0u);
+  EXPECT_EQ(stage(service::Stage::kBatchAssembly), 0u);
+  const auto traces = engine.trace_samples();
+  ASSERT_EQ(traces.size(), singles);
+  for (const service::RequestTrace& t : traces) {
+    EXPECT_TRUE(t.in_place);
+    EXPECT_EQ(t.enqueue_ns, 0u);
+    EXPECT_EQ(t.dequeue_ns, 0u);
+    EXPECT_GT(t.scan_end_ns, 0u);
+  }
+  EXPECT_NE(service::chrome_trace_json(traces).find("\"in_place\":true"),
+            std::string::npos);
+  EXPECT_NE(m.to_prometheus().find("factorhd_in_place_total " +
+                                   std::to_string(singles)),
+            std::string::npos);
+}
+
+TEST_F(ServiceEngineTest, InPlaceRunThatThrowsCompletesWithTheErrorOnce) {
+  service::FactorizationEngine engine(model_, {.cache_capacity = 64});
+  core::FactorizeOptions bad;
+  bad.selected_classes = {99};  // factorize throws
+  Landing landing;
+  ASSERT_EQ(engine.try_submit(work_[0].target, bad,
+                              std::chrono::steady_clock::now(),
+                              record_into(landing),
+                              service::Placement::kInPlaceIfIdle),
+            service::SubmitStatus::kAccepted);
+  EXPECT_EQ(landing.calls.load(), 1);
+  ASSERT_TRUE(landing.error);
+  EXPECT_THROW(std::rethrow_exception(landing.error), std::invalid_argument);
+  engine.stop();
+  const auto m = engine.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.completed, 1u);
+}
+
+/// Submits `target` and waits for its completion, which must come from a
+/// batcher thread (the request was queued, not run in place).
+void expect_queued(service::FactorizationEngine& engine,
+                   const hdc::Hypervector& target,
+                   const core::FactorizeOptions& opts,
+                   const core::FactorizeResult& expected, bool plain_submit) {
+  Landing landing;
+  if (plain_submit) {
+    engine.submit(target, opts, record_into(landing));
+  } else {
+    ASSERT_EQ(engine.try_submit(target, opts, std::chrono::steady_clock::now(),
+                                record_into(landing),
+                                service::Placement::kInPlaceIfIdle),
+              service::SubmitStatus::kAccepted);
+  }
+  engine.stop();  // drains: the completion has run afterwards
+  ASSERT_EQ(landing.calls.load(), 1);
+  EXPECT_NE(landing.thread, std::this_thread::get_id())
+      << "the request should have completed on a batcher thread";
+  EXPECT_FALSE(landing.error);
+  EXPECT_TRUE(landing.result == expected);
+  const auto m = engine.metrics();
+  EXPECT_EQ(m.in_place, 0u);
+  EXPECT_EQ(m.batched_requests, 1u);
+}
+
+TEST_F(ServiceEngineTest, InPlaceDeclinedForAMultiObjectTarget) {
+  const WorkItem& scene = work_[2];
+  ASSERT_TRUE(scene.opts.multi_object);
+  service::FactorizationEngine engine(model_, {.cache_capacity = 0});
+  expect_queued(engine, scene.target, scene.opts, scene.expected, false);
+}
+
+TEST_F(ServiceEngineTest, InPlaceDeclinedWhenTheEngineWaitsToBatch) {
+  service::FactorizationEngine engine(
+      model_, {.max_delay_us = 100, .cache_capacity = 0});
+  expect_queued(engine, work_[0].target, work_[0].opts, work_[0].expected,
+                false);
+}
+
+TEST_F(ServiceEngineTest, PlainSubmitNeverRunsInPlace) {
+  service::FactorizationEngine engine(model_, {.cache_capacity = 0});
+  expect_queued(engine, work_[0].target, work_[0].opts, work_[0].expected,
+                true);
+}
+
+TEST_F(ServiceEngineTest, InPlaceDeclinedForALargeCodebookModel) {
+  // The 3 x 65536-row model of test_item_memory_large: one object scans
+  // 196608 rows, about 1 ms, far above the break-even.
+  util::Xoshiro256 rng(4242);
+  const auto large = service::Model::make(
+      "large", tax::TaxonomyCodebooks(tax::Taxonomy(3, {65536}), 64, rng));
+  EXPECT_GT(large->factorizer().estimate_ns({}), core::kBreakEvenNs);
+  const hdc::Hypervector target = large->encoder().encode_object(
+      tax::random_object(large->books().taxonomy(), rng));
+  service::FactorizationEngine engine(large, {.cache_capacity = 0});
+  expect_queued(engine, target, {}, large->factorizer().factorize(target),
+                false);
+}
+
+TEST_F(ServiceEngineTest, InPlaceDeclinedBehindAQueuedEarlierDeadline) {
+  // The batcher is held inside a first request's completion, so a request
+  // queued behind it keeps the queue non-empty: the in-place candidate must
+  // queue too, and dispatch after the earlier deadline.
+  service::FactorizationEngine engine(model_,
+                                      {.max_batch = 1, .cache_capacity = 0});
+  std::promise<void> holding;
+  std::promise<void> release;
+  engine.submit(work_[0].target, work_[0].opts,
+                [&](std::exception_ptr, const core::FactorizeResult&) {
+                  holding.set_value();
+                  release.get_future().wait();
+                });
+  holding.get_future().wait();
+
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  const auto record = [&](int tag) {
+    return [&, tag](std::exception_ptr error,
+                    const core::FactorizeResult& result) {
+      EXPECT_FALSE(error);
+      EXPECT_TRUE(result == work_[tag].expected);
+      std::lock_guard lock(mu);
+      order.push_back(tag);
+      threads.push_back(std::this_thread::get_id());
+    };
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_EQ(engine.try_submit(work_[1].target, work_[1].opts, t0, record(1)),
+            service::SubmitStatus::kAccepted);
+  ASSERT_EQ(engine.try_submit(work_[3].target, work_[3].opts,
+                              t0 + std::chrono::microseconds(100), record(3),
+                              service::Placement::kInPlaceIfIdle),
+            service::SubmitStatus::kAccepted);
+  {
+    std::lock_guard lock(mu);
+    EXPECT_TRUE(order.empty()) << "nothing may complete while the batcher "
+                                  "is held";
+  }
+  release.set_value();
+  engine.stop();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  for (const std::thread::id id : threads) {
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(engine.metrics().in_place, 0u);
+}
+
 TEST(ServiceMetrics, QuantilesReportGeometricBucketMidpoints) {
   // Regression for the bucket-upper-bound bug: a stream of identical
   // latencies used to report p50 = p99 = the bucket's upper bound — up to
@@ -612,6 +814,22 @@ TEST(ServiceMetrics, MergeAggregatesEveryCounterWithoutDoubleCounting) {
   EXPECT_EQ(s2.submitted, s.submitted);
   EXPECT_EQ(s2.completed, s.completed);
   EXPECT_DOUBLE_EQ(s2.p99_latency_us, s.p99_latency_us);
+}
+
+TEST(ServiceMetrics, InPlaceCounterMergesSubtractsAndExports) {
+  service::Metrics submit_side;
+  for (int i = 0; i < 3; ++i) submit_side.on_in_place();
+  service::Metrics agg;
+  agg.merge(submit_side);
+  const auto base = agg.snapshot(0);
+  EXPECT_EQ(base.in_place, 3u);
+  agg.on_in_place();
+  const auto later = agg.snapshot(0);
+  EXPECT_EQ(later.since(base).in_place, 1u);
+  EXPECT_NE(later.to_string().find("4 run in place"), std::string::npos);
+  EXPECT_NE(later.to_prometheus().find("# TYPE factorhd_in_place_total "
+                                       "counter\nfactorhd_in_place_total 4"),
+            std::string::npos);
 }
 
 TEST_F(ServiceEngineTest, ForcedScalarBackendModelMatchesPackedModel) {
