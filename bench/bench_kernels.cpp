@@ -16,6 +16,11 @@
 // (Words = forced scalar-word loops, then AVX2/AVX512/NEON), so the v2 JSON
 // records the whole dispatch ladder; the dispatched level itself is exported
 // through the benchmark context (factorhd_simd_level).
+//
+// The BM_Wire* rows price the per-request byte work of one FHN1 factorize
+// request at D=1024 (paper-scale object) and D=2048 (Rep 3 scene): the
+// payload checksum (run once by each end), the request encode and decode,
+// and the service::request_key fingerprint.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -26,6 +31,8 @@
 #include "hdc/kernels/packed_item_memory.hpp"
 #include "hdc/kernels/simd.hpp"
 #include "hdc/packed.hpp"
+#include "net/protocol.hpp"
+#include "service/result_cache.hpp"
 
 namespace {
 
@@ -293,6 +300,54 @@ void BM_FactorizeRep3TwoObjects(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FactorizeRep3TwoObjects)->Arg(2000)->Arg(4000);
+
+// A D-dim integer target like a bundled scene's, as its kFactorize request.
+net::FactorizeRequest wire_request(std::size_t dim) {
+  util::Xoshiro256 rng(9);
+  std::vector<std::int32_t> comps(dim);
+  for (auto& c : comps) c = static_cast<std::int32_t>(rng() % 7) - 3;
+  net::FactorizeRequest req;
+  req.target = hdc::Hypervector(std::move(comps));
+  return req;
+}
+
+void BM_WireChecksum(benchmark::State& state) {
+  const auto payload = net::encode_factorize_request(
+      wire_request(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::payload_checksum(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_WireChecksum)->Arg(1024)->Arg(2048);
+
+void BM_WireEncodeRequest(benchmark::State& state) {
+  const net::FactorizeRequest req =
+      wire_request(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::encode_factorize_request(req));
+  }
+}
+BENCHMARK(BM_WireEncodeRequest)->Arg(1024)->Arg(2048);
+
+void BM_WireDecodeRequest(benchmark::State& state) {
+  const auto payload = net::encode_factorize_request(
+      wire_request(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::decode_factorize_request(payload));
+  }
+}
+BENCHMARK(BM_WireDecodeRequest)->Arg(1024)->Arg(2048);
+
+void BM_WireRequestKey(benchmark::State& state) {
+  const net::FactorizeRequest req =
+      wire_request(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::request_key(req.target, req.opts));
+  }
+}
+BENCHMARK(BM_WireRequestKey)->Arg(1024)->Arg(2048);
 
 }  // namespace
 

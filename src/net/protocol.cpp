@@ -1,8 +1,15 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <utility>
+
+#if defined(__x86_64__)
+#define FACTORHD_X86_CRC32 1
+#include <nmmintrin.h>
+#endif
 
 namespace factorhd::net {
 namespace {
@@ -53,13 +60,75 @@ bool known_opcode(std::uint8_t raw) noexcept {
   return false;
 }
 
-std::uint32_t payload_checksum(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint32_t h = 2166136261u;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 16777619u;
+// ---------------------------------------------------------------------------
+// CRC-32C payload checksum
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;  // reflected Castagnoli
+
+constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) ? kCrc32cPoly : 0u);
+    table[i] = c;
   }
-  return h;
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+
+#if FACTORHD_X86_CRC32
+// Eight bytes per crc32 instruction, then the sub-word tail byte by byte.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    const std::uint8_t* p, std::size_t n) noexcept {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; n > 0; ++p, --n) crc32 = _mm_crc32_u8(crc32, *p);
+  return ~crc32;
+}
+
+bool have_sse42() noexcept {
+  static const bool have = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return have;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes) noexcept {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    crc = kCrc32cTable[(crc ^ b) & 0xFFu] ^ (crc >> 8);
+  }
+  return ~crc;
+}
+
+std::optional<std::uint32_t> crc32c_hardware(
+    [[maybe_unused]] std::span<const std::uint8_t> bytes) noexcept {
+#if FACTORHD_X86_CRC32
+  if (have_sse42()) return crc32c_sse42(bytes.data(), bytes.size());
+#endif
+  return std::nullopt;
+}
+
+}  // namespace detail
+
+std::uint32_t payload_checksum(std::span<const std::uint8_t> bytes) noexcept {
+  if (const auto crc = detail::crc32c_hardware(bytes)) return *crc;
+  return detail::crc32c_portable(bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -113,45 +182,71 @@ std::vector<std::uint8_t> encode_frame(Opcode opcode, std::uint8_t flags,
 
 FrameParser::FrameParser(std::size_t max_payload) : max_payload_(max_payload) {}
 
+std::uint32_t FrameParser::check_header(const std::uint8_t* h) {
+  if (get_le32(h) != kMagic) {
+    poisoned_ = true;
+    throw ProtocolError("bad frame magic");
+  }
+  if (h[6] != 0 || h[7] != 0) {
+    poisoned_ = true;
+    throw ProtocolError("nonzero reserved header bits");
+  }
+  const std::uint32_t payload_len = get_le32(h + 16);
+  if (payload_len > max_payload_) {
+    poisoned_ = true;
+    throw ProtocolError("frame payload length " + std::to_string(payload_len) +
+                        " exceeds limit " + std::to_string(max_payload_));
+  }
+  return payload_len;
+}
+
+void FrameParser::emit(const std::uint8_t* h, std::uint32_t payload_len,
+                       std::vector<Frame>& out) {
+  Frame frame;
+  frame.header.opcode = h[4];
+  frame.header.flags = h[5];
+  frame.header.request_id = get_le64(h + 8);
+  frame.header.payload_len = payload_len;
+  frame.header.checksum = get_le32(h + 20);
+  const std::span<const std::uint8_t> payload(h + kHeaderSize, payload_len);
+  if (payload_checksum(payload) != frame.header.checksum) {
+    poisoned_ = true;
+    throw ProtocolError("payload checksum mismatch on request " +
+                        std::to_string(frame.header.request_id));
+  }
+  frame.payload.assign(payload.begin(), payload.end());
+  out.push_back(std::move(frame));
+}
+
 void FrameParser::feed(std::span<const std::uint8_t> data,
                        std::vector<Frame>& out) {
   if (poisoned_) throw ProtocolError("parser poisoned by earlier framing error");
-  buf_.insert(buf_.end(), data.begin(), data.end());
-  std::size_t pos = 0;
-  while (buf_.size() - pos >= kHeaderSize) {
-    const std::uint8_t* h = buf_.data() + pos;
-    if (get_le32(h) != kMagic) {
-      poisoned_ = true;
-      throw ProtocolError("bad frame magic");
-    }
-    if (h[6] != 0 || h[7] != 0) {
-      poisoned_ = true;
-      throw ProtocolError("nonzero reserved header bits");
-    }
-    const std::uint32_t payload_len = get_le32(h + 16);
-    if (payload_len > max_payload_) {
-      poisoned_ = true;
-      throw ProtocolError("frame payload length " +
-                          std::to_string(payload_len) + " exceeds limit " +
-                          std::to_string(max_payload_));
-    }
-    if (buf_.size() - pos < kHeaderSize + payload_len) break;  // incomplete
-    Frame frame;
-    frame.header.opcode = h[4];
-    frame.header.flags = h[5];
-    frame.header.request_id = get_le64(h + 8);
-    frame.header.payload_len = payload_len;
-    frame.header.checksum = get_le32(h + 20);
-    frame.payload.assign(h + kHeaderSize, h + kHeaderSize + payload_len);
-    if (payload_checksum(frame.payload) != frame.header.checksum) {
-      poisoned_ = true;
-      throw ProtocolError("payload checksum mismatch on request " +
-                          std::to_string(frame.header.request_id));
-    }
-    pos += kHeaderSize + payload_len;
-    out.push_back(std::move(frame));
+  if (!buf_.empty()) {
+    // Finish the buffered frame with only the bytes it still lacks; the
+    // rest of `data` is parsed in place below.
+    const auto top_up = [&](std::size_t want) {
+      const std::size_t take = std::min(want - buf_.size(), data.size());
+      buf_.insert(buf_.end(), data.begin(),
+                  data.begin() + static_cast<std::ptrdiff_t>(take));
+      data = data.subspan(take);
+      return buf_.size() == want;
+    };
+    if (buf_.size() < kHeaderSize && !top_up(kHeaderSize)) return;
+    const std::uint32_t payload_len = check_header(buf_.data());
+    buf_.reserve(kHeaderSize + payload_len);
+    if (!top_up(kHeaderSize + payload_len)) return;
+    emit(buf_.data(), payload_len, out);
+    buf_.clear();
   }
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos));
+  std::size_t pos = 0;
+  while (data.size() - pos >= kHeaderSize) {
+    const std::uint8_t* h = data.data() + pos;
+    const std::uint32_t payload_len = check_header(h);
+    if (data.size() - pos < kHeaderSize + payload_len) break;  // incomplete
+    emit(h, payload_len, out);
+    pos += kHeaderSize + payload_len;
+  }
+  buf_.assign(data.begin() + static_cast<std::ptrdiff_t>(pos), data.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -197,6 +292,18 @@ std::int32_t PayloadReader::get_i32() {
   return static_cast<std::int32_t>(get_u32());
 }
 
+void PayloadReader::get_i32s(std::span<std::int32_t> out) {
+  need(out.size_bytes());
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) {
+      std::memcpy(out.data(), bytes_.data() + offset_, out.size_bytes());
+    }
+    offset_ += out.size_bytes();
+  } else {
+    for (std::int32_t& c : out) c = get_i32();
+  }
+}
+
 double PayloadReader::get_f64() { return std::bit_cast<double>(get_u64()); }
 
 std::string PayloadReader::get_string() {
@@ -235,13 +342,31 @@ void PayloadWriter::put_string(std::string_view s) {
   bytes_.insert(bytes_.end(), s.begin(), s.end());
 }
 
+void PayloadWriter::put_i32s(std::span<const std::int32_t> v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    bytes_.insert(bytes_.end(), p, p + v.size_bytes());
+  } else {
+    for (const std::int32_t c : v) put_i32(c);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Factorize request
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_factorize_request(const FactorizeRequest& req) {
+  return encode_factorize_request(req.opts, req.deadline_hint_us, req.target);
+}
+
+std::vector<std::uint8_t> encode_factorize_request(
+    const core::FactorizeOptions& o, std::uint32_t deadline_hint_us,
+    const hdc::Hypervector& target) {
+  // Fixed fields: two u8 flags, f64 threshold, four u64 bounds and the
+  // three u32s (class count, deadline, dim).
+  constexpr std::size_t kFixedBytes = 2 + 8 + 4 * 8 + 3 * 4;
   PayloadWriter w;
-  const core::FactorizeOptions& o = req.opts;
+  w.reserve(kFixedBytes + 4 * (o.selected_classes.size() + target.dim()));
   w.put_u8(o.multi_object ? 1 : 0);
   w.put_u8(o.collect_trace ? 1 : 0);
   w.put_f64(o.threshold);
@@ -253,10 +378,9 @@ std::vector<std::uint8_t> encode_factorize_request(const FactorizeRequest& req) 
   for (const std::size_t c : o.selected_classes) {
     w.put_u32(static_cast<std::uint32_t>(c));
   }
-  w.put_u32(req.deadline_hint_us);
-  const auto& comps = req.target.components();
-  w.put_u32(static_cast<std::uint32_t>(comps.size()));
-  for (const std::int32_t c : comps) w.put_i32(c);
+  w.put_u32(deadline_hint_us);
+  w.put_u32(static_cast<std::uint32_t>(target.dim()));
+  w.put_i32s(target.components());
   return w.take();
 }
 
@@ -281,9 +405,8 @@ FactorizeRequest decode_factorize_request(
   req.deadline_hint_us = r.get_u32();
   const std::uint32_t dim = r.get_u32();
   check_count(dim, r.remaining(), 4, "hypervector dimension");
-  std::vector<std::int32_t> comps;
-  comps.reserve(dim);
-  for (std::uint32_t i = 0; i < dim; ++i) comps.push_back(r.get_i32());
+  std::vector<std::int32_t> comps(dim);
+  r.get_i32s(comps);
   r.expect_end();
   req.target = hdc::Hypervector(std::move(comps));
   return req;

@@ -14,7 +14,7 @@
 //   8       8     request id — client-chosen, echoed verbatim on every
 //                 response frame, which is what makes pipelining work
 //   16      4     payload length (bounded; see FrameParser)
-//   20      4     payload checksum (FNV-1a 32 over the payload bytes)
+//   20      4     payload checksum (CRC-32C over the payload bytes)
 //   24      ...   payload
 //
 // The two payloads that carry a factorization, in field order:
@@ -48,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -125,10 +126,22 @@ class ProtocolError : public std::runtime_error {
       : std::runtime_error("net protocol: " + what) {}
 };
 
-/// FNV-1a 32-bit over `bytes` — the frame payload checksum. Deliberately
-/// tiny and dependency-free; this is bit-flip detection, not cryptography.
+/// CRC-32C (Castagnoli: reflected polynomial 0x82F63B78, init and xorout
+/// 0xFFFFFFFF) over `bytes` — the frame payload checksum. Runs on the SSE4.2
+/// crc32 instruction when the CPU has it, else on a portable table walk;
+/// both give the same value. Bit-flip detection, not cryptography.
 [[nodiscard]] std::uint32_t payload_checksum(
     std::span<const std::uint8_t> bytes) noexcept;
+
+namespace detail {
+/// The portable table path behind payload_checksum.
+[[nodiscard]] std::uint32_t crc32c_portable(
+    std::span<const std::uint8_t> bytes) noexcept;
+/// The SSE4.2 instruction path behind payload_checksum, or nullopt when
+/// this CPU (or build target) has no crc32 instruction.
+[[nodiscard]] std::optional<std::uint32_t> crc32c_hardware(
+    std::span<const std::uint8_t> bytes) noexcept;
+}  // namespace detail
 
 struct FrameHeader {
   std::uint8_t opcode = 0;
@@ -156,7 +169,9 @@ struct Frame {
 
 /// Incremental frame decoder for a byte stream: feed() arbitrary chunks
 /// (frames may arrive split across reads or several per read) and complete
-/// frames come out in order. Stateful per connection.
+/// frames come out in order. Frames that a chunk holds whole are parsed in
+/// place; only a trailing partial frame is buffered, so a payload byte is
+/// copied once, into Frame::payload. Stateful per connection.
 class FrameParser {
  public:
   /// \param max_payload Frames whose length prefix exceeds this are a
@@ -175,7 +190,14 @@ class FrameParser {
   [[nodiscard]] std::size_t buffered() const noexcept { return buf_.size(); }
 
  private:
+  /// Validates one complete header. \return Its payload length.
+  std::uint32_t check_header(const std::uint8_t* h);
+  /// Surfaces the checksummed frame whose header starts at `h`.
+  void emit(const std::uint8_t* h, std::uint32_t payload_len,
+            std::vector<Frame>& out);
+
   std::size_t max_payload_;
+  /// At most one incomplete frame: the tail of an earlier feed.
   std::vector<std::uint8_t> buf_;
   bool poisoned_ = false;
 };
@@ -193,6 +215,8 @@ class PayloadReader {
   [[nodiscard]] std::uint32_t get_u32();
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] std::int32_t get_i32();
+  /// Fills `out` with consecutive i32s (one copy on little-endian hosts).
+  void get_i32s(std::span<std::int32_t> out);
   /// IEEE-754 bit pattern via bit_cast — exact, not formatted.
   [[nodiscard]] double get_f64();
   /// u32 length prefix + raw bytes; length bounded by the remainder.
@@ -221,6 +245,9 @@ class PayloadWriter {
   void put_i32(std::int32_t v);
   void put_f64(double v);
   void put_string(std::string_view s);
+  /// Appends consecutive i32s (one copy on little-endian hosts).
+  void put_i32s(std::span<const std::int32_t> v);
+  void reserve(std::size_t n) { bytes_.reserve(n); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return bytes_;
@@ -244,6 +271,10 @@ struct FactorizeRequest {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_factorize_request(
     const FactorizeRequest& req);
+/// The same payload, encoded straight from the caller's options and target.
+[[nodiscard]] std::vector<std::uint8_t> encode_factorize_request(
+    const core::FactorizeOptions& opts, std::uint32_t deadline_hint_us,
+    const hdc::Hypervector& target);
 /// \throws ProtocolError On truncation, trailing bytes, or an absurd
 ///   dimension/selected-class count (bounded against the payload size).
 [[nodiscard]] FactorizeRequest decode_factorize_request(

@@ -36,8 +36,11 @@ namespace factorhd::service {
 [[nodiscard]] std::uint64_t fingerprint_options(
     const core::FactorizeOptions& opts) noexcept;
 
-/// Combined cache key of a request: content hash of the target mixed with
-/// the options fingerprint.
+/// Combined cache key of a request: content hash of the target, seeded
+/// with the options fingerprint. One four-lane pass over the target (about
+/// 1 µs at D=2048) ending in a splitmix64 avalanche, so the low bits that
+/// ResultCache::shard_of takes `key % shards` of are as well mixed as the
+/// high ones.
 [[nodiscard]] std::uint64_t request_key(
     const hdc::Hypervector& target,
     const core::FactorizeOptions& opts) noexcept;

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -314,6 +315,144 @@ TEST(NetProtocol, FactorizeRequestTruncationSweep) {
   EXPECT_THROW((void)net::decode_factorize_request(padded), ProtocolError);
 }
 
+TEST(NetProtocol, LargeRequestTruncationSweepThrowsBeforeAllocating) {
+  net::FactorizeRequest req;
+  req.opts.selected_classes = {3};
+  std::vector<std::int32_t> comps(4096);
+  for (std::size_t i = 0; i < comps.size(); ++i) {
+    comps[i] = static_cast<std::int32_t>(i % 7) - 3;
+  }
+  req.target = hdc::Hypervector(std::move(comps));
+  const auto payload = net::encode_factorize_request(req);
+  ASSERT_EQ(payload.size(), 54u + 4u + 4u * 4096u);
+  for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+    ASSERT_THROW((void)net::decode_factorize_request(
+                     std::span<const std::uint8_t>(payload.data(), cut)),
+                 ProtocolError)
+        << "cut=" << cut;
+  }
+  // A dim field larger than the bytes that follow it is refused by its
+  // count check: 0xFFFFFFFF components would be a 16 GiB allocation.
+  const std::size_t dim_at = payload.size() - 4u * 4096u - 4u;
+  for (const std::uint32_t dim : {4097u, 0x40000000u, 0xFFFFFFFFu}) {
+    auto bad = payload;
+    for (std::size_t b = 0; b < 4; ++b) {
+      bad[dim_at + b] = static_cast<std::uint8_t>(dim >> (8 * b));
+    }
+    EXPECT_THROW((void)net::decode_factorize_request(bad), ProtocolError)
+        << "dim=" << dim;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned payload bytes: the exact wire form of each payload, so a codec
+// rewrite cannot change what a peer reads.
+// ---------------------------------------------------------------------------
+
+core::FactorizedObject pinned_object() {
+  core::FactorizedObject obj;
+  core::ClassFactorization cf;
+  cf.cls = 2;
+  cf.present = true;
+  cf.path = {3, 1};
+  cf.level_similarities = {0.5, -0.25};
+  cf.null_similarity = 0.125;
+  obj.classes.push_back(cf);
+  obj.match_similarity = 0.75;
+  return obj;
+}
+
+TEST(NetProtocol, FactorizeRequestBytesArePinned) {
+  net::FactorizeRequest req;
+  req.opts.multi_object = true;
+  req.opts.collect_trace = true;
+  req.opts.threshold = 0.1;
+  req.opts.num_objects_hint = 3;
+  req.opts.max_objects = 4;
+  req.opts.max_depth = 2;
+  req.opts.max_candidates_per_class = 5;
+  req.opts.selected_classes = {1, 300};
+  req.deadline_hint_us = 0x01020304;
+  req.target = hdc::Hypervector({std::numeric_limits<std::int32_t>::min(), -2,
+                                 -1, 0, 1, 2,
+                                 std::numeric_limits<std::int32_t>::max()});
+  const std::vector<std::uint8_t> expected = {
+      0x01, 0x01,                                      // multi_object, trace
+      0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f,  // threshold 0.1
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // num_objects_hint
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // max_objects
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // max_depth
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // max_candidates
+      0x02, 0x00, 0x00, 0x00,                          // 2 selected classes
+      0x01, 0x00, 0x00, 0x00, 0x2c, 0x01, 0x00, 0x00,  // 1, 300
+      0x04, 0x03, 0x02, 0x01,                          // deadline hint
+      0x07, 0x00, 0x00, 0x00,                          // dim 7
+      0x00, 0x00, 0x00, 0x80, 0xfe, 0xff, 0xff, 0xff,  // INT32_MIN, -2
+      0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00,  // -1, 0
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  // 1, 2
+      0xff, 0xff, 0xff, 0x7f,                          // INT32_MAX
+  };
+  EXPECT_EQ(net::encode_factorize_request(req), expected);
+  EXPECT_EQ(net::encode_factorize_request(req.opts, req.deadline_hint_us,
+                                          req.target),
+            expected);
+  const net::FactorizeRequest back = net::decode_factorize_request(expected);
+  EXPECT_TRUE(back.opts == req.opts);
+  EXPECT_EQ(back.deadline_hint_us, req.deadline_hint_us);
+  EXPECT_TRUE(back.target == req.target);
+}
+
+TEST(NetProtocol, ResultAndPartialBytesArePinned) {
+  core::FactorizeResult r;
+  r.similarity_ops = 123;
+  r.combinations_checked = 45;
+  r.rounds = 1;
+  r.converged = true;
+  core::RoundTrace rt;
+  rt.candidates_per_class = {2};
+  rt.null_candidates = 1;
+  rt.combinations = 6;
+  rt.best_similarity = -0.5;
+  rt.accepted = true;
+  r.trace = {rt};
+  r.objects = {pinned_object()};
+  // The object as it travels inline in a kResult and after the index of a
+  // kPartial.
+  const std::vector<std::uint8_t> object = {
+      0x01, 0x00, 0x00, 0x00,                          // 1 class
+      0x02, 0x00, 0x00, 0x00, 0x01,                    // cls 2, present
+      0x02, 0x00, 0x00, 0x00,                          // 2 path steps
+      0x03, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  // 3, 1
+      0x02, 0x00, 0x00, 0x00,                          // 2 levels
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,  // 0.5
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0xbf,  // -0.25
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f,  // null 0.125
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f,  // match 0.75
+  };
+  std::vector<std::uint8_t> result = {
+      0x7b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // similarity_ops
+      0x2d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // combinations
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rounds
+      0x01,                                            // converged
+      0x01, 0x00, 0x00, 0x00,                          // 1 round trace
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  // 1 class: 2
+      0x01, 0x00, 0x00, 0x00,                          // null candidates
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // combinations
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0xbf,  // best -0.5
+      0x01,                                            // accepted
+      0x01, 0x00, 0x00, 0x00,                          // 1 object
+  };
+  result.insert(result.end(), object.begin(), object.end());
+  ASSERT_EQ(result.size(), 119u);
+  EXPECT_EQ(net::encode_result(r, /*streamed=*/false), result);
+  EXPECT_TRUE(net::decode_result(result, false, {}) == r);
+
+  std::vector<std::uint8_t> partial = {0x09, 0x00, 0x00, 0x00};  // index 9
+  partial.insert(partial.end(), object.begin(), object.end());
+  ASSERT_EQ(partial.size(), 61u);
+  EXPECT_EQ(net::encode_partial(9, pinned_object()), partial);
+}
+
 TEST(NetProtocol, ResultRoundTripInline) {
   const core::FactorizeResult r = sample_result(true);
   const auto payload = net::encode_result(r, /*streamed=*/false);
@@ -398,12 +537,48 @@ TEST(NetProtocol, PayloadDecoderFuzzNeverCrashes) {
   }
 }
 
-TEST(NetProtocol, ChecksumIsFnv1a) {
+TEST(NetProtocol, ChecksumIsCrc32c) {
   // Pin the checksum function: an accidental algorithm change would break
-  // every deployed peer silently.
-  const std::uint8_t abc[] = {'a', 'b', 'c'};
-  EXPECT_EQ(net::payload_checksum({}), 2166136261u);
-  EXPECT_EQ(net::payload_checksum(abc), 0x1A47E90Bu);
+  // every deployed peer silently. Published CRC-32C check values, the last
+  // three from RFC 3720 appendix B.4.
+  const auto crc = [](std::string_view s) {
+    return net::payload_checksum(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+  };
+  EXPECT_EQ(net::payload_checksum({}), 0x00000000u);
+  EXPECT_EQ(crc("123456789"), 0xE3069283u);
+  EXPECT_EQ(crc("abc"), 0x364B3FB7u);
+  EXPECT_EQ(crc("hi"), 0xF59DD9C2u);
+  std::vector<std::uint8_t> block(32, 0x00);
+  EXPECT_EQ(net::payload_checksum(block), 0x8A9136AAu);
+  std::fill(block.begin(), block.end(), 0xFF);
+  EXPECT_EQ(net::payload_checksum(block), 0x62A8AB43u);
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    block[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(net::payload_checksum(block), 0x46DD794Eu);
+  EXPECT_EQ(net::detail::crc32c_portable(block), 0x46DD794Eu);
+}
+
+TEST(NetProtocol, Crc32cHardwareMatchesPortable) {
+  // Every length through a D=1024 request payload at every start alignment:
+  // the 8-byte word loop and the byte tail of the instruction path must
+  // agree with the table walk.
+  util::Xoshiro256 rng(2024);
+  std::vector<std::uint8_t> bytes(4200 + 8);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  if (!net::detail::crc32c_hardware({}).has_value()) {
+    GTEST_SKIP() << "no crc32 instruction on this CPU";
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 4200; ++len) {
+      const std::span<const std::uint8_t> s(bytes.data() + align, len);
+      const std::uint32_t portable = net::detail::crc32c_portable(s);
+      ASSERT_EQ(net::detail::crc32c_hardware(s), portable)
+          << "align=" << align << " len=" << len;
+      ASSERT_EQ(net::payload_checksum(s), portable);
+    }
+  }
 }
 
 }  // namespace

@@ -64,6 +64,51 @@ TEST(HashHypervector, NoCollisionsAcrossASampledFamily) {
   EXPECT_GT(seen.size(), 490u);
 }
 
+TEST(HashHypervector, EveryComponentCountsAtAwkwardDims) {
+  // Dims that leave every shape of tail after the four two-component lanes:
+  // none, a lone odd component, whole pairs, and both.
+  util::Xoshiro256 rng(5);
+  for (const std::size_t dim : {1, 3, 7, 63, 65, 1023, 2049}) {
+    const hdc::Hypervector v = hdc::random_bipolar(dim, rng);
+    const std::uint64_t base = hdc::hash_hypervector(v);
+    EXPECT_EQ(hdc::hash_hypervector(hdc::Hypervector(v)), base) << dim;
+    for (std::size_t i = 0; i < dim; ++i) {
+      hdc::Hypervector flipped = v;
+      flipped[i] = -flipped[i];
+      ASSERT_NE(hdc::hash_hypervector(flipped), base)
+          << "dim " << dim << " component " << i;
+    }
+    // The dimension and the seed still separate keys.
+    std::vector<std::int32_t> longer(v.components().begin(),
+                                     v.components().end());
+    longer.push_back(0);
+    EXPECT_NE(hdc::hash_hypervector(hdc::Hypervector(std::move(longer))), base)
+        << dim;
+    EXPECT_NE(hdc::hash_hypervector(v, 1), base) << dim;
+    const core::FactorizeOptions opts;
+    core::FactorizeOptions multi;
+    multi.multi_object = true;
+    EXPECT_NE(service::request_key(v, opts), service::request_key(v, multi))
+        << dim;
+  }
+}
+
+TEST(HashHypervector, RequestKeysSpreadOverEveryCacheShard) {
+  // ResultCache::shard_of takes key % shards, so the low bits must be well
+  // mixed: 10k random targets land within 5 sigma of 1/8 in every shard.
+  util::Xoshiro256 rng(6);
+  const core::FactorizeOptions opts;
+  std::vector<std::size_t> per_shard(8, 0);
+  for (int i = 0; i < 10000; ++i) {
+    ++per_shard[service::request_key(hdc::random_ternary(64, 0.5, rng), opts) %
+                8];
+  }
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
+    EXPECT_GT(per_shard[s], 1250u - 165u) << "shard " << s;
+    EXPECT_LT(per_shard[s], 1250u + 165u) << "shard " << s;
+  }
+}
+
 TEST(FingerprintOptions, DistinguishesEveryField) {
   const core::FactorizeOptions base;
   const std::uint64_t fp = service::fingerprint_options(base);
